@@ -72,6 +72,7 @@ class PlanCompiler {
     plan.dst_order = dst_.byte_order;
     plan.src_pointer_size = src_.pointer_size;
     plan.dst_pointer_size = dst_.pointer_size;
+    plan.ops.reserve(dst_.fields.size());
 
     for (const FieldDesc& d : dst_.fields) {
       const FieldDesc* s = src_.find_field(d.name);
@@ -380,6 +381,7 @@ class PlanCompiler {
                        return a.dst_off < b.dst_off;
                      });
     std::vector<Op> out;
+    out.reserve(plan.ops.size());
     for (Op& op : plan.ops) {
       if (!out.empty() && linear(op) && linear(out.back())) {
         Op& prev = out.back();
@@ -506,8 +508,8 @@ class PlanCompiler {
     plan.inplace_safe = check.ok;
   }
 
-  FormatDesc src_;
-  FormatDesc dst_;
+  const FormatDesc& src_;
+  const FormatDesc& dst_;
   CompileOptions opts_;
   bool swap_ = false;
 };

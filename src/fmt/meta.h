@@ -20,6 +20,14 @@ namespace pbio::fmt {
 /// Serialize a format description (including subformats) to bytes.
 std::vector<std::uint8_t> encode_meta(const FormatDesc& f);
 
+/// FNV-1a, from `seed`, over the bytes encode_meta(f) produces, streamed
+/// without building them. With `canonical`, over the encoding of f's
+/// canonical form instead (see canonical_hash). Backs fingerprint() and
+/// canonical_hash(), which allocate nothing for formats already in
+/// canonical order.
+std::uint64_t hash_meta(const FormatDesc& f, std::uint64_t seed,
+                        bool canonical);
+
 /// Decode a format description. Fails (never throws) on malformed input.
 /// Tainted AND a sanitizer: it ingests announcement bytes, but every
 /// descriptor it returns has passed FormatDesc::validate() — callers may

@@ -2,16 +2,36 @@
 
 namespace pbio::fmt {
 
+namespace {
+
+/// Throws unless `known`, the entry already registered under `f`'s id, has
+/// the same content as `f`.
+void check_same(const FormatDesc& known, const FormatDesc& f) {
+  if (known != f) {
+    throw PbioError("format id collision for '" + f.name + "'");
+  }
+}
+
+}  // namespace
+
 FormatId FormatRegistry::register_format(FormatDesc f) {
-  f.validate();
   const FormatId id = f.fingerprint();
+  {
+    // Known id first: an equal entry passed validate() when it was
+    // inserted, so re-registering it costs one hash and one compare.
+    MutexLock lock(mu_);
+    auto it = formats_.find(id);
+    if (it != formats_.end()) {
+      check_same(*it->second.desc, f);
+      return id;
+    }
+  }
+  f.validate();
   const std::uint64_t canonical = canonical_hash(f);
   MutexLock lock(mu_);
   auto it = formats_.find(id);
-  if (it != formats_.end()) {
-    if (*it->second.desc != f) {
-      throw PbioError("format id collision for '" + f.name + "'");
-    }
+  if (it != formats_.end()) {  // a racing registration of the same id won
+    check_same(*it->second.desc, f);
     return id;
   }
   by_name_[f.name] = id;

@@ -32,6 +32,7 @@ inline constexpr MetricId kInvalidMetric = ~MetricId{0} - 1;
 
 inline constexpr std::uint32_t kMaxCounters = 256;
 inline constexpr std::uint32_t kMaxHistograms = 64;
+inline constexpr std::uint32_t kMaxGauges = 16;
 /// Bucket 0 holds the value 0; bucket i (i >= 1) holds values in
 /// [2^(i-1), 2^i). 64 buckets cover the full uint64 ns range.
 inline constexpr std::uint32_t kHistBuckets = 64;
@@ -42,11 +43,17 @@ inline constexpr std::uint32_t kHistBuckets = 64;
 MetricId counter(std::string_view name);
 MetricId histogram(std::string_view name);
 
+/// Register (or look up) a gauge: one process-wide level that its owner
+/// sets (not adds to), such as the pages a resource pool holds right now.
+/// Same idempotence and sink rules as counter().
+MetricId gauge(std::string_view name);
+
 /// Hot-path recording. `counter_add` bumps this thread's slot; `
 /// histogram_record` files `ns` into its power-of-2 bucket and maintains
-/// per-metric count and sum.
+/// per-metric count and sum; `gauge_set` stores the gauge's current level.
 void counter_add(MetricId id, std::uint64_t v);
 void histogram_record(MetricId id, std::uint64_t ns);
+void gauge_set(MetricId id, std::uint64_t v);
 
 /// Bucket index for a nanosecond value (exposed for tests).
 constexpr std::uint32_t hist_bucket(std::uint64_t ns) {
@@ -90,10 +97,12 @@ struct HistogramSample {
   std::uint64_t percentile_ns(double p) const;
 };
 
-/// A consistent, name-sorted view of every registered metric.
+/// A consistent, name-sorted view of every registered metric. Gauges
+/// reuse CounterSample: a name and its current level.
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<HistogramSample> histograms;
+  std::vector<CounterSample> gauges;
 
   const CounterSample* find_counter(std::string_view name) const;
   const HistogramSample* find_histogram(std::string_view name) const;
@@ -103,10 +112,12 @@ Snapshot snapshot();
 
 /// Zero every slot (live slabs and retired totals). Racy against concurrent
 /// writers by design — tools and tests call it between quiescent phases.
+/// Gauges keep their levels: they describe the present, not a history.
 void reset();
 
-/// JSON exporter: {"counters": {...}, "histograms": {...}}. Histogram
-/// bucket arrays are trimmed after the last non-zero bucket.
+/// JSON exporter: {"counters": {...}, "histograms": {...}}, plus
+/// "gauges": {...} when any gauge is registered. Histogram bucket arrays
+/// are trimmed after the last non-zero bucket.
 std::string to_json(const Snapshot& snap);
 
 /// Inverse of to_json for the exact shape it emits (the `pbio_stat

@@ -53,6 +53,11 @@ std::string to_prometheus(const Snapshot& snap) {
     out += n + "_sum " + std::to_string(h.sum_ns) + "\n";
     out += n + "_count " + std::to_string(h.count) + "\n";
   }
+  for (const CounterSample& g : snap.gauges) {
+    const std::string n = prom_name(g.name);
+    out += "# TYPE " + n + " gauge\n";
+    out += n + " " + std::to_string(g.value) + "\n";
+  }
   return out;
 }
 

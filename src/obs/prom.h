@@ -3,10 +3,11 @@
 // `pbio_stat --prom`.
 //
 // Counters export as `counter`; histograms as `summary` with interpolated
-// p50/p99/p999 quantiles plus the exact _sum (nanoseconds) and _count.
-// Metric names are sanitized to the Prometheus charset ([a-zA-Z0-9_:]):
-// every other byte — the '.' separators of pbio.* names, and anything a
-// hostile format name smuggles into a per-format metric — becomes '_'.
+// p50/p99/p999 quantiles plus the exact _sum (nanoseconds) and _count;
+// gauges as `gauge`. Metric names are sanitized to the Prometheus charset
+// ([a-zA-Z0-9_:]): every other byte — the '.' separators of pbio.* names,
+// and anything a hostile format name smuggles into a per-format metric —
+// becomes '_'.
 #pragma once
 
 #include <string>

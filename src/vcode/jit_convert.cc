@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 #include "convert/kernels/kernels.h"
 #include "obs/span.h"
@@ -130,7 +131,7 @@ class ConvertCompiler {
     dst_be_ = plan.dst_order == ByteOrder::kBig;
   }
 
-  std::vector<std::uint8_t> compile() {
+  Emitted compile() && {
     b_.prologue();
     EmitCtx top;
     for (std::size_t i = 0; i < plan_.ops.size(); ++i) {
@@ -138,10 +139,8 @@ class ConvertCompiler {
     }
     b_.ret_ok();
     b_.finish();
-    return b_.code();
+    return std::move(b_).take();
   }
-
-  const Builder& builder() const { return b_; }
 
  private:
   void emit_op(const Op& op, std::uint32_t index, const EmitCtx& ctx) {
@@ -423,7 +422,7 @@ bool tval_enabled() { return PBIO_TVAL_ENABLED != 0; }
 
 struct CompiledConvert::Impl {
   Plan plan;
-  std::unique_ptr<ExecBuffer> buf;
+  std::optional<ExecBuffer> buf;
   std::size_t code_size = 0;
   Status verify_error;  // non-ok: plan failed verification, never execute
   verify::tval::Report tval;
@@ -433,6 +432,16 @@ struct CompiledConvert::Impl {
 
   using Fn = int (*)(const std::uint8_t*, std::uint8_t*, JitRt*);
   Fn fn = nullptr;
+
+  /// Copy finished `code` into executable memory and seal it RX. Callers
+  /// translation-validate the bytes first (unless built with PBIO_TVAL=OFF).
+  void seal(std::span<const std::uint8_t> code) {
+    buf.emplace(code.size());
+    std::memcpy(buf->data(), code.data(), code.size());
+    buf->make_executable();
+    code_size = code.size();
+    fn = buf->entry<Fn>();
+  }
 };
 
 CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
@@ -452,12 +461,12 @@ CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
   if (!jit_supported()) return;
   OBS_SPAN("vcode.jit.compile");
   OBS_COUNT("vcode.jit.compiles", 1);
-  ConvertCompiler compiler(impl_->plan);
-  const std::vector<std::uint8_t> code = compiler.compile();
+  Emitted out = ConvertCompiler(impl_->plan).compile();
+  const std::vector<std::uint8_t>& code = out.code;
   OBS_COUNT("vcode.jit.code_bytes", code.size());
-  impl_->notes = compiler.builder().notes();
-  impl_->labels = compiler.builder().labels();
-  impl_->call_sites = compiler.builder().call_sites();
+  impl_->notes = std::move(out.notes);
+  impl_->labels = std::move(out.labels);
+  impl_->call_sites = std::move(out.call_sites);
 #if PBIO_TVAL_ENABLED
   // Translation-validate the fresh bytes before they can ever become
   // executable: decode + symbolic execution against the verified plan.
@@ -478,11 +487,7 @@ CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
   impl_->tval.fault = verify::tval::Fault::kNone;
   impl_->tval.message = "not validated";
 #endif
-  impl_->buf = std::make_unique<ExecBuffer>(code.size());
-  std::memcpy(impl_->buf->data(), code.data(), code.size());
-  impl_->buf->make_executable();
-  impl_->code_size = code.size();
-  impl_->fn = impl_->buf->entry<Impl::Fn>();
+  impl_->seal(code);
 }
 
 const verify::tval::Report& CompiledConvert::tval_report() const {
@@ -552,11 +557,7 @@ Result<CompiledConvert> CompiledConvert::adopt(
                       cc.impl_->tval.to_string());
   }
   cc.impl_->call_sites.assign(sites.begin(), sites.end());
-  cc.impl_->buf = std::make_unique<ExecBuffer>(code.size());
-  std::memcpy(cc.impl_->buf->data(), code.data(), code.size());
-  cc.impl_->buf->make_executable();
-  cc.impl_->code_size = code.size();
-  cc.impl_->fn = cc.impl_->buf->entry<Impl::Fn>();
+  cc.impl_->seal(code);
   return cc;
 #endif
 }
@@ -575,7 +576,7 @@ bool CompiledConvert::jitted() const { return impl_->fn != nullptr; }
 std::size_t CompiledConvert::code_size() const { return impl_->code_size; }
 
 std::span<const std::uint8_t> CompiledConvert::code() const {
-  if (impl_->buf == nullptr) return {};
+  if (!impl_->buf) return {};
   return {impl_->buf->data(), impl_->code_size};
 }
 

@@ -447,11 +447,12 @@ Inst decode_one(std::span<const std::uint8_t> code, std::size_t start) {
 
 Decoded decode(std::span<const std::uint8_t> code) {
   Decoded out;
+  // The emitter's instructions average a little over 3 bytes.
+  out.insts.reserve(code.size() / 3 + 1);
   std::size_t pos = 0;
   while (pos < code.size()) {
     try {
       Inst inst = decode_one(code, pos);
-      out.by_off.emplace(inst.off, out.insts.size());
       out.insts.push_back(inst);
       pos += inst.len;
     } catch (const DecodeFail& f) {

@@ -14,10 +14,10 @@
 // validation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pbio::verify::tval {
@@ -101,13 +101,15 @@ struct Decoded {
   std::size_t fail_off = 0;  // first undecodable offset when !ok
   std::string error;         // what went wrong there
 
-  /// Instruction index starting at byte offset `off`, or SIZE_MAX.
+  /// Instruction index starting at byte offset `off`, or SIZE_MAX. A
+  /// binary search: `insts` are in ascending offset order.
   std::size_t index_at(std::size_t off) const {
-    auto it = by_off.find(off);
-    return it == by_off.end() ? SIZE_MAX : it->second;
+    auto it = std::lower_bound(
+        insts.begin(), insts.end(), off,
+        [](const Inst& i, std::size_t o) { return i.off < o; });
+    if (it == insts.end() || it->off != off) return SIZE_MAX;
+    return static_cast<std::size_t>(it - insts.begin());
   }
-
-  std::unordered_map<std::size_t, std::size_t> by_off;
 };
 
 /// Decode the whole buffer front to back. Stops at the first byte sequence

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "obs/obs.h"
 #include "util/endian.h"
 #include "vcode/execmem.h"
 #include "vcode/vcode.h"
@@ -361,9 +365,10 @@ TEST(ExecBuffer, WProtectionToggles) {
   buf.make_executable();
   EXPECT_TRUE(buf.executable());
   buf.entry<void (*)()>()();
-  buf.make_writable();
-  buf.data()[0] = 0xC3;
-  EXPECT_FALSE(buf.executable());
+  // Sealing is one-way: a fresh buffer is the only way to emit again.
+  ExecBuffer again(64);
+  EXPECT_FALSE(again.executable());
+  again.data()[0] = 0xC3;
 }
 
 TEST(ExecBuffer, JitSupportedOnThisHost) {
@@ -409,34 +414,142 @@ TEST(ExecBuffer, WxProtectionTransitions) {
   EXPECT_EQ(rx.substr(0, 3), "r-x");
   buf.entry<void (*)()>()();
 
-  buf.make_writable();
-  const std::string rw2 = mapping_perms(buf.data());
-  EXPECT_EQ(rw2.substr(0, 3), "rw-");
-
-  buf.make_executable();
-  const std::string rx2 = mapping_perms(buf.data());
-  EXPECT_EQ(rx2.substr(0, 3), "r-x");
+  // Multi-page buffers map their own pages under the same contract.
+  ExecBuffer big(3 * 4096 + 1);
+  EXPECT_EQ(mapping_perms(big.data()).substr(0, 3), "rw-");
+  big.data()[0] = 0xC3;
+  big.make_executable();
+  EXPECT_EQ(mapping_perms(big.data()).substr(0, 3), "r-x");
+  big.entry<void (*)()>()();
 }
 
 TEST(ExecBuffer, EntryRefusedWhileWritable) {
   // W^X enforcement at the API level: no callable handed out while the
-  // pages are writable, at creation or after reopening for regeneration.
+  // pages are writable.
   ExecBuffer buf(16);
   buf.data()[0] = 0xC3;
   EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
   buf.make_executable();
   EXPECT_NO_THROW(buf.entry<void (*)()>());
-  buf.make_writable();
-  EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
 }
 
 TEST(ExecBuffer, MovedFromBufferRejectsSealing) {
   ExecBuffer a(16);
   ExecBuffer b(std::move(a));
   EXPECT_THROW(a.make_executable(), PbioError);
-  EXPECT_THROW(a.make_writable(), PbioError);
   EXPECT_EQ(a.data(), nullptr);
   EXPECT_NE(b.data(), nullptr);
+}
+
+// --- the single-page pool ------------------------------------------------------
+
+TEST(ExecPool, PooledPageIsRwBeforeSealAndRxAfterNeverBoth) {
+  for (int round = 0; round < 3; ++round) {  // fresh and recycled pages
+    ExecBuffer buf(100);
+    ASSERT_EQ(buf.capacity(), 4096u);
+    const std::string rw = mapping_perms(buf.data());
+    if (rw.empty()) GTEST_SKIP() << "/proc/self/maps not available";
+    EXPECT_EQ(rw.substr(0, 3), "rw-");
+    buf.data()[0] = 0xC3;  // ret
+    buf.make_executable();
+    EXPECT_EQ(mapping_perms(buf.data()).substr(0, 3), "r-x");
+    buf.entry<void (*)()>()();
+  }
+}
+
+TEST(ExecPool, RecycledPageIsZeroPastTheNewCode) {
+  const std::uint8_t* first = nullptr;
+  {
+    ExecBuffer buf(64);
+    first = buf.data();
+    std::memset(buf.data(), 0xCC, buf.capacity());  // int3 everywhere
+    buf.data()[0] = 0xC3;
+    buf.make_executable();
+  }
+  // The pool is LIFO, so the next buffer gets the page just released.
+  ExecBuffer next(64);
+  EXPECT_EQ(next.data(), first);
+  next.data()[0] = 0xC3;
+  next.make_executable();
+  for (std::size_t i = 1; i < next.capacity(); ++i) {
+    ASSERT_EQ(next.data()[i], 0) << "stale byte at +" << i;
+  }
+}
+
+TEST(ExecPool, EntryBeforeSealThrowsOnPooledPages) {
+  { ExecBuffer warm(8); }  // make sure the next buffer is a recycled page
+  ExecBuffer buf(8);
+  buf.data()[0] = 0xC3;
+  EXPECT_THROW(buf.entry<void (*)()>(), PbioError);
+}
+
+TEST(ExecPool, StaysBoundedOverManyCycles) {
+  const ExecPoolStats before = exec_pool_stats();
+  for (int i = 0; i < 10000; ++i) {
+    ExecBuffer buf(128);
+    buf.data()[0] = 0xC3;
+    buf.make_executable();
+    buf.entry<void (*)()>()();
+  }
+  const ExecPoolStats after = exec_pool_stats();
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_LE(after.pooled, 32u);
+  // A burst of live buffers returns to the pool, which keeps at most its
+  // slack and unmaps the rest.
+  {
+    std::vector<ExecBuffer> burst;
+    for (int i = 0; i < 100; ++i) burst.emplace_back(64);
+    EXPECT_EQ(exec_pool_stats().live, before.live + 100);
+  }
+  EXPECT_EQ(exec_pool_stats().live, before.live);
+  EXPECT_LE(exec_pool_stats().pooled, 32u);
+}
+
+TEST(ExecPool, GaugesTrackLiveAndPooledPages) {
+  ExecBuffer held(64);
+  const ExecPoolStats s = exec_pool_stats();
+  const obs::Snapshot snap = obs::snapshot();
+  bool found_live = false, found_pooled = false;
+  for (const obs::CounterSample& g : snap.gauges) {
+    if (g.name == "vcode.exec.pages_live") {
+      found_live = true;
+      EXPECT_EQ(g.value, s.live);
+    }
+    if (g.name == "vcode.exec.pages_pooled") {
+      found_pooled = true;
+      EXPECT_EQ(g.value, s.pooled);
+    }
+  }
+  EXPECT_TRUE(found_live);
+  EXPECT_TRUE(found_pooled);
+  EXPECT_GE(s.live, 1u);
+}
+
+TEST(ExecPool, FourThreadAllocateSealFreeStress) {
+  // Clean under the tsan preset: the pool's lock orders a page's zeroing
+  // and re-protection before its next owner writes code into it.
+  const ExecPoolStats before = exec_pool_stats();
+  std::vector<std::thread> threads;
+  std::atomic<int> bad{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&bad, t] {
+      for (int i = 0; i < 500; ++i) {
+        ExecBuffer a(64);
+        ExecBuffer b(200);
+        // mov eax, imm32; ret
+        const std::uint32_t v = static_cast<std::uint32_t>(t * 1000 + i);
+        a.data()[0] = 0xB8;
+        std::memcpy(a.data() + 1, &v, 4);
+        a.data()[5] = 0xC3;
+        if (b.data()[0] != 0) ++bad;
+        a.make_executable();
+        if (a.entry<std::uint32_t (*)()>()() != v) ++bad;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(exec_pool_stats().live, before.live);
 }
 
 }  // namespace
