@@ -13,6 +13,7 @@
 #include "value/random.h"
 #include "vcode/execmem.h"
 #include "vcode/jit_convert.h"
+#include "vcode/vcode.h"
 #include "verify/tval/decode.h"
 
 namespace pbio {
@@ -716,6 +717,65 @@ TEST(TvalMutation, ForwardBranchIntoLoopBody) {
   const auto& in = f.dec.insts[i];
   put_u32(f.bytes, in.off + in.len - 4, static_cast<std::uint32_t>(in.rel - 1));
   EXPECT_REJECTED(f);
+}
+
+TEST(TvalMutation, CursorWidenedPastEmitterNesting) {
+  REQUIRE_JIT();
+  // Hand-built code with the plan's own loop shapes: a cursor copied out
+  // of one loop seeds the next loop's cursor, so the nested loop inside it
+  // would widen a value a third time. The emitter never does this; tval
+  // must refuse it rather than track an unbounded number of dimensions.
+  StructSpec pt;
+  pt.name = "pt";
+  pt.fields = {{.name = "v", .type = CType::kDouble, .array_elems = 8}};
+  StructSpec top;
+  top.name = "grid";
+  top.fields = {{.name = "pts", .array_elems = 100, .subformat = "pt"}};
+  top.subs = {pt};
+  const Plan plan =
+      convert::compile_plan(arch::layout_format(top, arch::abi_sparc_v9()),
+                            arch::layout_format(top, arch::abi_x86_64()));
+  ASSERT_EQ(plan.ops.size(), 1u);
+  ASSERT_EQ(plan.ops[0].code, convert::OpCode::kSubLoop);
+
+  using vcode::Gp;
+  using vcode::Regs;
+  vcode::Builder b;
+  b.prologue();
+  // Loop A: copy the widened source cursor into rcx.
+  b.counted_loop(100, 0, 0, 64, 64, [&] { b.mov(Gp::rcx, Regs::cur_src); });
+  // Loop B starts its source cursor from that copy; loop C nests in it.
+  vcode::X64Emitter& e = b.raw();
+  e.lea(Gp::rbx, Gp::rcx, 0);
+  e.lea(Gp::rbp, Gp::r13, 0);
+  e.mov_ri32(Gp::r15, 100);
+  vcode::Label loop_b;
+  e.bind(loop_b);
+  e.lea(Gp::r8, Gp::rbx, 0);
+  e.lea(Gp::r9, Gp::rbp, 0);
+  e.mov_ri32(Gp::rdi, 8);
+  vcode::Label loop_c;
+  e.bind(loop_c);
+  e.load_zx(Gp::rax, Gp::r8, 0, 8);
+  e.bswap64(Gp::rax);
+  e.store(Gp::r9, 0, Gp::rax, 8);
+  e.add_ri(Gp::r8, 8);
+  e.add_ri(Gp::r9, 8);
+  e.dec32(Gp::rdi);
+  e.jcc(vcode::Cond::ne, loop_c);
+  e.add_ri(Gp::rbx, 64);
+  e.add_ri(Gp::rbp, 64);
+  e.dec32(Gp::r15);
+  e.jcc(vcode::Cond::ne, loop_b);
+  b.ret_ok();
+  b.finish();
+
+  const tval::Report rep =
+      tval::validate(b.code(), plan, vcode::make_tval_options(plan));
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.fault, tval::Fault::kLoop) << rep.to_string();
+  EXPECT_NE(rep.message.find("widened"), std::string::npos)
+      << rep.to_string();
 }
 
 TEST(TvalMutation, EveryPrologueByteMatters) {

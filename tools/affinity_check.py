@@ -56,6 +56,7 @@ REQUIRED_DECLS = {
     "BufferPool",                                       # per-worker arena
     "flight_record", "flight_arm", "flight_armed", "flight_dump",
     "ArtifactCache",                    # process-wide conversion cache
+    "PagePool",                         # process-wide JIT code pages
 }
 
 RE_TAG = re.compile(r"//\s*thread-domain:\s*(\S+)")
