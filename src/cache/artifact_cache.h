@@ -11,11 +11,12 @@
 //    format pair, so byte-order/field-order/arch-name presentation
 //    differences collapse onto one artifact;
 //  * the cache is N-way sharded; the hit path is lock-free: one acquire
-//    load of the shard's immutable snapshot map, a find, a shared_ptr
-//    refcount bump. Inserts copy-on-write the snapshot under the shard
-//    mutex and publish with a release store. Retired snapshots are kept
-//    until cache destruction (read-mostly: one small retired map per
-//    compiled pair, i.e. per handful-of-microseconds event);
+//    load of the shard's immutable snapshot (a key-sorted vector), a
+//    binary search, a shared_ptr refcount bump. Inserts copy-on-write the
+//    snapshot under the shard mutex — one allocation, however many entries
+//    it holds — and publish with a release store. Retired snapshots are
+//    kept until cache destruction (read-mostly: one small retired vector
+//    per compiled pair, i.e. per handful-of-microseconds event);
 //  * a stampede of cold callers is collapsed by single-flight: the first
 //    caller compiles, everyone else blocks on that flight's condvar and
 //    shares the one sealed buffer — a 10k-connection cold start performs
@@ -106,8 +107,9 @@ class ArtifactCache {
   static constexpr unsigned kShards = 8;
 
  private:
-  using Map = std::unordered_map<
-      PairKey, std::shared_ptr<const vcode::CompiledConvert>, PairKeyHash>;
+  /// An immutable snapshot: the shard's artifacts sorted by key.
+  using Map = std::vector<
+      std::pair<PairKey, std::shared_ptr<const vcode::CompiledConvert>>>;
 
   /// One in-progress build, shared by the leader and every waiter.
   struct Flight {

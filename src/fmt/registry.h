@@ -22,9 +22,11 @@ using FormatId = std::uint64_t;
 class FormatRegistry {
  public:
   /// Validates and registers a format; returns its wire id. Re-registering
-  /// identical content is idempotent; registering *different* content that
-  /// collides on id throws (fingerprints are content hashes, so this
-  /// indicates either a hash collision or a corrupted description).
+  /// identical content is idempotent and cheap (the id is looked up before
+  /// validation: an equal entry was validated when it was inserted);
+  /// registering *different* content that collides on id throws
+  /// (fingerprints are content hashes, so this indicates either a hash
+  /// collision or a corrupted description).
   FormatId register_format(FormatDesc f);
 
   /// Look up a registered format. The returned pointer is stable for the
