@@ -150,11 +150,16 @@ TEST(ObsSnapshot, SortedByNameAndDeterministic) {
 
 TEST(ObsSnapshot, ResetZeroesValuesButKeepsNames) {
   counter_add(counter("test.obs.reset_me"), 41);
+  gauge_set(gauge("test.obs.level"), 5);
   reset();
   const Snapshot snap = snapshot();
   const CounterSample* c = snap.find_counter("test.obs.reset_me");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value, 0u);
+  // A gauge is a level, not a history: reset leaves it standing.
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].name, "test.obs.level");
+  EXPECT_EQ(snap.gauges[0].value, 5u);
 }
 
 TEST(ObsJson, ExportsCountersAndTrimmedHistograms) {
@@ -224,6 +229,8 @@ TEST(ObsJson, SnapshotRoundTripsThroughFromJson) {
   h.buckets[3] = 40;
   h.buckets[17] = 1;
   snap.histograms.push_back(h);
+  snap.gauges.push_back({"vcode.exec.pages_live", 3});
+  snap.gauges.push_back({"vcode.exec.pages_pooled", 29});
 
   const std::string json = to_json(snap);
   Snapshot back;
@@ -233,6 +240,9 @@ TEST(ObsJson, SnapshotRoundTripsThroughFromJson) {
     EXPECT_EQ(back.counters[i].name, snap.counters[i].name);
     EXPECT_EQ(back.counters[i].value, snap.counters[i].value);
   }
+  ASSERT_EQ(back.gauges.size(), 2u);
+  EXPECT_EQ(back.gauges[1].name, "vcode.exec.pages_pooled");
+  EXPECT_EQ(back.gauges[1].value, 29u);
   ASSERT_EQ(back.histograms.size(), 1u);
   EXPECT_EQ(back.histograms[0].name, h.name);
   EXPECT_EQ(back.histograms[0].count, h.count);

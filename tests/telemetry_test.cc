@@ -147,10 +147,14 @@ TEST(Prom, ExposesCountersAndSummaries) {
     h.count++;
   }
   snap.histograms.push_back(h);
+  snap.gauges.push_back({"vcode.exec.pages_live", 7});
 
   const std::string text = obs::to_prometheus(snap);
   EXPECT_NE(text.find("# TYPE pbio_broker_frames_in counter\n"
                       "pbio_broker_frames_in 42\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE vcode_exec_pages_live gauge\n"
+                      "vcode_exec_pages_live 7\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE pbio_recv_batch_ns summary\n"), std::string::npos);
   EXPECT_NE(text.find("pbio_recv_batch_ns{quantile=\"0.5\"} "),
