@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <utility>
 
-#include "convert/kernels/kernels.h"
 #include "convert/plan.h"
-#include "fmt/meta.h"
 #include "obs/obs.h"
 #include "obs/span.h"
 #include "verify/verify.h"
@@ -38,11 +35,6 @@ std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::probe(
   return it->second;
 }
 
-std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::lookup(
-    PairKey key) const {
-  return probe(shards_[shard_of(key)], key);
-}
-
 void ArtifactCache::publish(
     Shard& shard, PairKey key,
     std::shared_ptr<const vcode::CompiledConvert> artifact) {
@@ -67,13 +59,14 @@ void ArtifactCache::publish(
 Result<ArtifactCache::Got> ArtifactCache::get_or_build(
     const fmt::FormatDesc& wire, const fmt::FormatDesc& native, PairKey key) {
   Shard& shard = shards_[shard_of(key)];
-  if (auto hit = probe(shard, key)) {
+  auto count_hit = [this] {
     hits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
     OBS_COUNT("pbio.cache.hits", 1);
+  };
+  if (auto hit = probe(shard, key)) {
+    count_hit();
     return Got{std::move(hit), Source::kCached};
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-  OBS_COUNT("pbio.cache.misses", 1);
 
   // Single-flight: exactly one caller builds a given key; the rest park on
   // the flight's condvar and share the result (or the failure).
@@ -82,8 +75,10 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   {
     MutexLock lock(shard.mu);
     // Re-probe under the lock: a build may have been published between the
-    // lock-free miss above and here.
+    // lock-free miss above and here. That is a hit, not a miss — a miss is
+    // only counted once this caller leads or waits on a flight.
     if (auto hit = probe(shard, key)) {
+      count_hit();
       return Got{std::move(hit), Source::kCached};
     }
     auto [it, inserted] =
@@ -94,6 +89,8 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
     }
     flight = it->second;
   }
+  misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
+  OBS_COUNT("pbio.cache.misses", 1);
 
   if (!leader) {
     waits_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
@@ -109,7 +106,7 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   }
 
   // Leader path: build with no locks held, then publish and wake waiters.
-  Result<Got> built = build(wire, native, key);
+  Result<Got> built = build(wire, native);
   if (built.is_ok()) {
     MutexLock lock(shard.mu);
     publish(shard, key, built.value().artifact);
@@ -131,9 +128,8 @@ Result<ArtifactCache::Got> ArtifactCache::get_or_build(
   return built;
 }
 
-Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
-                                                const fmt::FormatDesc& native,
-                                                PairKey key) {
+Result<ArtifactCache::Got> ArtifactCache::build(
+    const fmt::FormatDesc& wire, const fmt::FormatDesc& native) {
   convert::Plan plan;
   {
     OBS_SPAN("pbio.cache.plan");
@@ -153,39 +149,6 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
   }
   plan.verified = true;
 
-  const std::string dir = persist_dir();
-  const auto tier = static_cast<std::uint32_t>(convert::kernels::active_isa());
-
-  // Try the persisted code first: structural load, then adopt() re-proves
-  // the bytes (relocate from the plan, translation-validate, W^X seal).
-  if (!dir.empty() && vcode::tval_enabled()) {
-    persist::FileImage img;
-    std::string why;
-    const persist::LoadStatus st = persist::load(
-        dir, key, tier, vcode::kEmitterVersion, &img, &why);
-    if (st == persist::LoadStatus::kLoaded) {
-      convert::Plan adopted_plan = plan;
-      auto adopted = vcode::CompiledConvert::adopt(
-          std::move(adopted_plan), std::move(img.code), img.call_sites);
-      if (adopted.is_ok()) {
-        auto artifact = std::make_shared<const vcode::CompiledConvert>(
-            std::move(adopted).take());
-        persist_loads_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-        jit_code_bytes_.fetch_add(artifact->code_size(),
-                                  std::memory_order_relaxed);  // mo: independent statistic
-        OBS_COUNT("pbio.cache.persist_loads", 1);
-        return Got{std::move(artifact), Source::kPersisted};
-      }
-      persist_rejects_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-      OBS_COUNT("pbio.cache.persist_rejects", 1);
-      // Fall through to a fresh compile — persistence is an optimization,
-      // never a correctness dependency.
-    } else if (st == persist::LoadStatus::kRejected) {
-      persist_rejects_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-      OBS_COUNT("pbio.cache.persist_rejects", 1);
-    }
-  }
-
   std::shared_ptr<const vcode::CompiledConvert> artifact;
   {
     OBS_SPAN("pbio.cache.compile");
@@ -196,45 +159,7 @@ Result<ArtifactCache::Got> ArtifactCache::build(const fmt::FormatDesc& wire,
   jit_code_bytes_.fetch_add(artifact->code_size(),
                             std::memory_order_relaxed);  // mo: independent statistic
   OBS_COUNT("pbio.cache.compiles", 1);
-
-  // Persist the sealed buffer with its call-target slots zeroed: the file
-  // carries offsets, never addresses (addresses are process-local and the
-  // loader must re-derive them from the plan anyway).
-  if (!dir.empty() && artifact->jitted() && vcode::tval_enabled() &&
-      artifact->tval_report().ok) {
-    persist::FileImage img;
-    img.emitter_version = vcode::kEmitterVersion;
-    img.isa_tier = tier;
-    img.key = key;
-    img.call_sites = artifact->call_sites();
-    img.wire_meta = fmt::encode_meta(wire);
-    img.native_meta = fmt::encode_meta(native);
-    const std::span<const std::uint8_t> code = artifact->code();
-    img.code.assign(code.begin(), code.end());
-    bool sites_ok = true;
-    for (std::uint32_t site : img.call_sites) {
-      if (static_cast<std::size_t>(site) + 8 > img.code.size()) {
-        sites_ok = false;  // defensive: never write a malformed image
-        break;
-      }
-      std::memset(img.code.data() + site, 0, 8);
-    }
-    if (sites_ok && persist::save(dir, img)) {
-      persist_saves_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-      OBS_COUNT("pbio.cache.persist_saves", 1);
-    }
-  }
   return Got{std::move(artifact), Source::kCompiled};
-}
-
-void ArtifactCache::set_persist_dir(std::string dir) {
-  MutexLock lock(persist_mu_);
-  persist_dir_ = std::move(dir);
-}
-
-std::string ArtifactCache::persist_dir() const {
-  MutexLock lock(persist_mu_);
-  return persist_dir_;
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
@@ -244,9 +169,6 @@ ArtifactCache::Stats ArtifactCache::stats() const {
   s.single_flight_waits = waits_.load(std::memory_order_relaxed);  // mo: see hits
   s.compiles = compiles_.load(std::memory_order_relaxed);  // mo: see hits
   s.jit_code_bytes = jit_code_bytes_.load(std::memory_order_relaxed);  // mo: see hits
-  s.persist_loads = persist_loads_.load(std::memory_order_relaxed);  // mo: see hits
-  s.persist_saves = persist_saves_.load(std::memory_order_relaxed);  // mo: see hits
-  s.persist_rejects = persist_rejects_.load(std::memory_order_relaxed);  // mo: see hits
   return s;
 }
 

@@ -4,8 +4,7 @@
 // Motivation (ROADMAP item 1): a broker fleet holds thousands of
 // connections that share a handful of (wire, native) format pairs, yet
 // each Context used to pay plan build + static verify + JIT + translation
-// validation per pair — and a restarted server re-entered JIT warmup from
-// zero. This cache makes the artifact the unit of sharing:
+// validation per pair. This cache makes the artifact the unit of sharing:
 //
 //  * keys are canonical structural hashes (fmt::canonical_hash) of the
 //    format pair, so byte-order/field-order/arch-name presentation
@@ -20,28 +19,25 @@
 //  * a stampede of cold callers is collapsed by single-flight: the first
 //    caller compiles, everyone else blocks on that flight's condvar and
 //    shares the one sealed buffer — a 10k-connection cold start performs
-//    exactly one compile per distinct pair;
-//  * with a persist directory configured, sealed buffers are written to
-//    disk (cache/persist.h) and re-proven on load: the plan is recompiled
-//    from the registry's descriptions, re-verified, the loaded bytes are
-//    relocated from the plan and the translation validator must accept
-//    them before the W^X seal. A warm restart performs zero JIT compiles;
-//    a poisoned cache file can never execute.
+//    exactly one compile per distinct pair.
 //
-// Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles,
-// persist_loads,persist_saves,persist_rejects} via obs, mirrored in
-// Stats for mutex-free polling (Context::stats() forwards them).
+// The cache lives in memory only: a restarted process compiles each
+// distinct pair once.
+//
+// Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles} via obs,
+// mirrored in Stats for mutex-free polling. Every get_or_build() counts
+// exactly one hit or one miss, and every miss is either the compile's
+// leader or a single-flight waiter: misses == compiles + single_flight_waits
+// (failed builds aside).
 // thread-domain: any
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "cache/persist.h"
 #include "fmt/format.h"
 #include "util/error.h"
 #include "util/mutex.h"
@@ -49,13 +45,27 @@
 
 namespace pbio::cache {
 
+/// Conversion-artifact cache key: the canonical structural hashes
+/// (fmt::canonical_hash) of the wire and native format descriptions.
+struct PairKey {
+  std::uint64_t wire = 0;
+  std::uint64_t native = 0;
+
+  bool operator==(const PairKey&) const = default;
+};
+
+struct PairKeyHash {
+  std::size_t operator()(const PairKey& k) const {
+    return static_cast<std::size_t>(k.wire * 0x9E3779B97F4A7C15ull ^ k.native);
+  }
+};
+
 /// Where an artifact handed out by get_or_build() came from — callers
 /// (Context) use it to keep their own per-context accounting honest.
 enum class Source : std::uint8_t {
-  kCached,     // lock-free hit on the snapshot map
-  kWaited,     // another caller was already compiling; shared its result
-  kCompiled,   // this call ran the full plan+verify+JIT+tval pipeline
-  kPersisted,  // this call re-proved and sealed a persisted code buffer
+  kCached,    // hit on the snapshot map
+  kWaited,    // another caller was already compiling; shared its result
+  kCompiled,  // this call ran the full plan+verify+JIT+tval pipeline
 };
 
 // thread-domain: any
@@ -79,14 +89,6 @@ class ArtifactCache {
   Result<Got> get_or_build(const fmt::FormatDesc& wire,
                            const fmt::FormatDesc& native, PairKey key);
 
-  /// Lock-free probe without build (tests, tools).
-  std::shared_ptr<const vcode::CompiledConvert> lookup(PairKey key) const;
-
-  /// Enable (non-empty) or disable (empty) the on-disk persisted codegen
-  /// cache. Cold-path setting; takes effect for subsequent builds.
-  void set_persist_dir(std::string dir);
-  std::string persist_dir() const;
-
   /// Mutex-free counter snapshot (relaxed atomics; cross-counter
   /// consistency not promised).
   struct Stats {
@@ -95,9 +97,6 @@ class ArtifactCache {
     std::uint64_t single_flight_waits = 0;
     std::uint64_t compiles = 0;
     std::uint64_t jit_code_bytes = 0;
-    std::uint64_t persist_loads = 0;
-    std::uint64_t persist_saves = 0;
-    std::uint64_t persist_rejects = 0;
   };
   Stats stats() const;
 
@@ -144,24 +143,17 @@ class ArtifactCache {
       PBIO_REQUIRES(shard.mu);
 
   /// The full build pipeline (leader only, no locks held): plan build +
-  /// static verify, then persisted-load-and-re-prove or fresh JIT + tval,
-  /// then persist of freshly sealed code.
-  Result<Got> build(const fmt::FormatDesc& wire, const fmt::FormatDesc& native,
-                    PairKey key);
+  /// static verify, then JIT + tval.
+  Result<Got> build(const fmt::FormatDesc& wire,
+                    const fmt::FormatDesc& native);
 
   Shard shards_[kShards];
-
-  mutable Mutex persist_mu_;
-  std::string persist_dir_ PBIO_GUARDED_BY(persist_mu_);
 
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> jit_code_bytes_{0};
-  std::atomic<std::uint64_t> persist_loads_{0};
-  std::atomic<std::uint64_t> persist_saves_{0};
-  std::atomic<std::uint64_t> persist_rejects_{0};
 };
 
 /// The process-wide cache: what a fleet of broker workers / tools shares

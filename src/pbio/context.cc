@@ -34,7 +34,7 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
   }
   // Resolve through the artifact cache, keyed by the canonical structural
   // hash of the pair. Plan build, static verification, JIT, translation
-  // validation, persistence and stampede collapse all live there; this
+  // validation and stampede collapse all live there; this
   // context only keeps its own accounting straight from the Source tag.
   auto got = cache_->get_or_build(*src.desc, *dst.desc,
                                   {src.canonical, dst.canonical});
@@ -58,12 +58,6 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
                                 std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
       OBS_COUNT("pbio.conv.compiled", 1);
       OBS_COUNT("pbio.conv.jit_code_bytes", result.artifact->code_size());
-      break;
-    case cache::Source::kPersisted:
-      shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      persist_loads_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      jit_code_bytes_.fetch_add(result.artifact->code_size(),
-                                std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
       break;
   }
   auto conv = std::make_shared<const Conversion>(std::move(result.artifact));
@@ -98,7 +92,6 @@ Context::Stats Context::stats() const {
       single_flight_waits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.negative_cache_hits =
       negative_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.persist_loads = persist_loads_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   return s;
 }
 

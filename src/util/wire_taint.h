@@ -28,11 +28,10 @@
 //
 // Under clang the function/parameter macros expand to
 // __attribute__((annotate(...))) so the annotations survive into the AST
-// (the libclang backend of wire_taint.py, and any future clang-tidy
-// check, read them from there). Under GCC and MSVC they expand to
-// nothing — the text backend of wire_taint.py binds them lexically, the
-// same toolchain story as tools/affinity_check.py, so the analysis does
-// not depend on which compiler built the tree.
+// for AST-based tools. Under GCC and MSVC they expand to nothing.
+// wire_taint.py binds them lexically, the same toolchain story as
+// tools/affinity_check.py, so the analysis does not depend on which
+// compiler built the tree.
 #pragma once
 
 #if defined(__clang__)

@@ -51,8 +51,8 @@ constexpr unsigned kInlineCopyLimit = 64;
 
 /// Whether the compiler will emit a batch-kernel call for this array op —
 /// the exact predicate of ConvertCompiler::try_emit_kernel_call, shared so
-/// the load-time relocation walk (call_targets) reproduces the emission
-/// decisions bit for bit.
+/// the tval call-target allowlist (make_tval_options) reproduces the
+/// emission decisions bit for bit.
 bool kernel_call_emitted(const Plan& plan, const Op& op, bool top,
                          kernels::KernelFn fn) {
   if (fn == nullptr || !top || op.count < kernels::kMinCount) return false;
@@ -410,14 +410,6 @@ verify::tval::Options make_tval_options(const Plan& plan) {
   return opts;
 }
 
-std::vector<std::uint64_t> call_targets(const Plan& plan) {
-  std::vector<std::uint64_t> out;
-  walk_call_sites(plan,
-                  [&out](std::uint64_t addr, verify::tval::CalleeKind,
-                         std::uint8_t, std::uint8_t) { out.push_back(addr); });
-  return out;
-}
-
 bool tval_enabled() { return PBIO_TVAL_ENABLED != 0; }
 
 struct CompiledConvert::Impl {
@@ -428,20 +420,9 @@ struct CompiledConvert::Impl {
   verify::tval::Report tval;
   std::vector<MacroNote> notes;
   std::vector<std::size_t> labels;
-  std::vector<std::uint32_t> call_sites;
 
   using Fn = int (*)(const std::uint8_t*, std::uint8_t*, JitRt*);
   Fn fn = nullptr;
-
-  /// Copy finished `code` into executable memory and seal it RX. Callers
-  /// translation-validate the bytes first (unless built with PBIO_TVAL=OFF).
-  void seal(std::span<const std::uint8_t> code) {
-    buf.emplace(code.size());
-    std::memcpy(buf->data(), code.data(), code.size());
-    buf->make_executable();
-    code_size = code.size();
-    fn = buf->entry<Fn>();
-  }
 };
 
 CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
@@ -466,7 +447,6 @@ CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
   OBS_COUNT("vcode.jit.code_bytes", code.size());
   impl_->notes = std::move(out.notes);
   impl_->labels = std::move(out.labels);
-  impl_->call_sites = std::move(out.call_sites);
 #if PBIO_TVAL_ENABLED
   // Translation-validate the fresh bytes before they can ever become
   // executable: decode + symbolic execution against the verified plan.
@@ -487,7 +467,11 @@ CompiledConvert::CompiledConvert(Plan plan) : impl_(std::make_unique<Impl>()) {
   impl_->tval.fault = verify::tval::Fault::kNone;
   impl_->tval.message = "not validated";
 #endif
-  impl_->seal(code);
+  impl_->buf.emplace(code.size());
+  std::memcpy(impl_->buf->data(), code.data(), code.size());
+  impl_->buf->make_executable();
+  impl_->code_size = code.size();
+  impl_->fn = impl_->buf->entry<Impl::Fn>();
 }
 
 const verify::tval::Report& CompiledConvert::tval_report() const {
@@ -496,70 +480,6 @@ const verify::tval::Report& CompiledConvert::tval_report() const {
 
 const std::vector<MacroNote>& CompiledConvert::macro_notes() const {
   return impl_->notes;
-}
-
-const std::vector<std::uint32_t>& CompiledConvert::call_sites() const {
-  return impl_->call_sites;
-}
-
-CompiledConvert::CompiledConvert() : impl_(std::make_unique<Impl>()) {}
-
-Result<CompiledConvert> CompiledConvert::adopt(
-    Plan plan, std::vector<std::uint8_t> code,
-    std::span<const std::uint32_t> sites) {
-#if !PBIO_TVAL_ENABLED
-  (void)plan;
-  (void)code;
-  (void)sites;
-  return Status(Errc::kUnsupported,
-                "adopt: persisted code needs the translation validator "
-                "(PBIO_TVAL=OFF)");
-#else
-  if (!jit_supported()) {
-    return Status(Errc::kUnsupported, "adopt: no JIT on this host");
-  }
-  if (!plan.verified) {
-    Status vst = verify::verify_status(plan);
-    if (!vst.is_ok()) return vst;
-    plan.verified = true;
-  }
-  // Re-resolve every call target from the plan (the file never supplies
-  // addresses, only slot offsets) and patch the zeroed slots.
-  const std::vector<std::uint64_t> targets = call_targets(plan);
-  if (targets.size() != sites.size()) {
-    return Status(Errc::kMalformed, "adopt: call-site count mismatch");
-  }
-  std::uint64_t prev_end = 0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const std::uint64_t off = sites[i];
-    if (off < prev_end || off + 8 > code.size()) {
-      return Status(Errc::kMalformed, "adopt: call-site offset out of range");
-    }
-    std::uint64_t zero = 0;
-    if (std::memcmp(code.data() + off, &zero, 8) != 0) {
-      return Status(Errc::kMalformed, "adopt: call-target slot not zeroed");
-    }
-    std::memcpy(code.data() + off, &targets[i], 8);
-    prev_end = off + 8;
-  }
-  // The trust anchor: decode + symbolically execute the patched buffer
-  // against the re-verified plan. Only an accepted buffer is ever sealed.
-  CompiledConvert cc;
-  cc.impl_->plan = std::move(plan);
-  {
-    OBS_SPAN("vcode.jit.tval");
-    cc.impl_->tval = verify::tval::validate(code, cc.impl_->plan,
-                                            make_tval_options(cc.impl_->plan));
-  }
-  if (!cc.impl_->tval.ok) {
-    return Status(Errc::kMalformed,
-                  "adopt: tval rejected persisted code: " +
-                      cc.impl_->tval.to_string());
-  }
-  cc.impl_->call_sites.assign(sites.begin(), sites.end());
-  cc.impl_->seal(code);
-  return cc;
-#endif
 }
 
 const std::vector<std::size_t>& CompiledConvert::label_offsets() const {

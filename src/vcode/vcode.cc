@@ -150,9 +150,6 @@ void Builder::xmm_to_gp(Gp dst, Xmm src, unsigned width) {
 
 void Builder::call(const void* fn) {
   note("call");
-  // mov_ri64(rax, imm) encodes as REX.W + B8: two opcode bytes, then the
-  // imm64 — record where the immediate lands (the persistable relocation).
-  call_sites_.push_back(static_cast<std::uint32_t>(e_.size() + 2));
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(fn));
   e_.call_reg(Gp::rax);
 }

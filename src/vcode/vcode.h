@@ -40,21 +40,7 @@ struct Emitted {
   std::vector<MacroNote> notes;
   /// Label-bind offsets from the underlying emitter.
   std::vector<std::size_t> labels;
-  /// Byte offset of each call()'s 64-bit target immediate (inside the
-  /// `mov rax, imm64`), in emission order. These are the only absolute
-  /// addresses in generated code — everything else is RIP-relative — so
-  /// they are exactly the relocations a persisted code buffer needs: zero
-  /// the slots on save, re-resolve the targets from the plan on load.
-  std::vector<std::uint32_t> call_sites;
 };
-
-/// Version of the emitter's code shapes. Persisted conversion artifacts
-/// (src/cache) record it and are rejected on mismatch: loaded bytes are
-/// re-proven by the translation validator anyway, but the validator and
-/// emitter evolve together, so code from another emitter generation is
-/// discarded up front instead of burning a doomed validation pass. Bump on
-/// any change to emitted code or to the call()/relocation scheme.
-inline constexpr std::uint32_t kEmitterVersion = 1;
 
 /// Well-known registers of the generated-function convention.
 struct Regs {
@@ -153,8 +139,7 @@ class Builder {
 
   /// Move the code and its metadata out; the Builder is spent afterwards.
   Emitted take() && {
-    return {e_.take_code(), std::move(notes_), e_.take_labels(),
-            std::move(call_sites_)};
+    return {e_.take_code(), std::move(notes_), e_.take_labels()};
   }
 
  private:
@@ -163,7 +148,6 @@ class Builder {
   X64Emitter e_;
   Label out_;
   std::vector<MacroNote> notes_;
-  std::vector<std::uint32_t> call_sites_;
   std::size_t epilogue_off_ = 0;
   bool prologue_done_ = false;
   bool finished_ = false;

@@ -5,7 +5,7 @@ The fifth static-analysis layer (lint -> taint -> plan verifier -> tval ->
 concurrency). The existing gauntlet proves the *conversion plans and
 emitted code* correct; this tool checks the *parsing code* that builds
 those plans from hostile bytes: frame headers, format announcements,
-format-service replies, .pbcc persist files, broker first-byte dispatch.
+format-service replies, broker first-byte dispatch.
 
 The model is gradual typing for trust. src/util/wire_taint.h provides the
 vocabulary:
@@ -32,8 +32,8 @@ Rules:
   T1 required-taint      the functions in REQUIRED_SOURCES (the wire
                          ingestion surface: FrameStream slicing, fmt
                          announcement decode, format-service requests,
-                         persist-file loads, broker dispatch, reader
-                         frame consumption) must carry WIRE_TAINTED.
+                         broker dispatch, reader frame consumption) must
+                         carry WIRE_TAINTED.
   T2 unsanitized-sink    inside an annotated function, a tainted value
                          reaches a sink — memcpy/memmove/memset size,
                          allocation size (resize/reserve/lease/malloc/
@@ -54,16 +54,12 @@ Escapes: `// wire-taint: ok <reason>` on the offending line, an entry in
 tools/wire_taint_allow.txt ('path | line-pattern | reason'), or
 WIRE_TRUSTED_CAST around the expression. T1/T4 have no escapes.
 
-Backends: --backend text (default) binds annotations lexically, the same
-toolchain story as affinity_check.py, so the analysis runs anywhere
-python3 runs. --backend clang reads the __attribute__((annotate(...)))
-markers out of the clang AST via the libclang python bindings when they
-are installed; `auto` falls back to text. Both feed the same dataflow
-engine; CI pins text for determinism.
+Annotations are bound lexically, the same toolchain story as
+affinity_check.py, so the analysis runs anywhere python3 runs.
 
 Usage:
-    tools/wire_taint.py [--root ROOT] [--allowlist FILE] [--backend B]
-                        [--self-test] [--canary]
+    tools/wire_taint.py [--root ROOT] [--allowlist FILE] [--self-test]
+                        [--canary]
 
 --canary copies src/ to a scratch tree, injects a WIRE_TAINTED function
 with an unguarded `memcpy(dst, src, wire_len)`, and fails unless the
@@ -71,7 +67,7 @@ analysis catches it: an end-to-end proof the CI job still detects the
 bug class it exists for.
 
 Exits 0 when clean, 1 on findings or stale allowlist entries, 2 on
-usage/toolchain errors.
+usage or malformed-allowlist errors.
 """
 
 import argparse
@@ -103,8 +99,6 @@ REQUIRED_SOURCES = [
     ("src/broker/conn", "dispatch"),                  # broker first byte
     ("src/broker/conn", "on_data_frame"),
     ("src/broker/conn", "decode_frame"),
-    ("src/cache/persist", "decode_file"),             # .pbcc files
-    ("src/cache/persist", "load"),
 ]
 
 ANNO_TAINTED = "WIRE_TAINTED"
@@ -910,41 +904,6 @@ def run(root, allowlist, allow_path, required=None, quiet=False):
     return status, findings
 
 
-# --- clang backend (gated) ------------------------------------------------
-
-def run_clang_backend(root, allowlist, allow_path):
-    """Bind annotations from the clang AST instead of lexically. Needs the
-    libclang python bindings; this container ships neither the bindings
-    nor libclang.so, so the gate errors out with instructions rather than
-    pretending. The dataflow engine downstream is identical."""
-    try:
-        import clang.cindex as cindex  # noqa: F401
-    except ImportError:
-        print("wire_taint: --backend clang needs the libclang python "
-              "bindings (pip install libclang) and a libclang.so; neither "
-              "is present. Use --backend text (the default), which binds "
-              "the same annotations lexically.", file=sys.stderr)
-        return 2
-    index = cindex.Index.create()
-    annotated = {}
-    for path in iter_source_files(root):
-        tu = index.parse(str(path), args=["-std=c++20", f"-I{root}/src"])
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind not in (cindex.CursorKind.FUNCTION_DECL,
-                                cindex.CursorKind.CXX_METHOD):
-                continue
-            annos = [c.displayname for c in cur.get_children()
-                     if c.kind == cindex.CursorKind.ANNOTATE_ATTR]
-            if annos:
-                annotated[cur.spelling] = annos
-    # The AST pass only cross-checks annotation binding; the dataflow
-    # still runs over the text (same engine, same verdicts).
-    status, _ = run(root, allowlist, allow_path)
-    print(f"wire_taint: clang backend cross-checked "
-          f"{len(annotated)} annotated decls")
-    return status
-
-
 # --- canary ---------------------------------------------------------------
 
 CANARY_REL = "src/pbio/__wire_taint_canary.cc"
@@ -1275,10 +1234,6 @@ def main():
                     help="repository root (default: parent of this script)")
     ap.add_argument("--allowlist", default=None,
                     help=f"allowlist file (default: {DEFAULT_ALLOWLIST})")
-    ap.add_argument("--backend", default="auto",
-                    choices=["auto", "text", "clang"],
-                    help="annotation binding: text (lexical, default), "
-                    "clang (libclang AST, needs bindings), auto")
     ap.add_argument("--self-test", action="store_true",
                     help="run the checker's own rule tests and exit")
     ap.add_argument("--canary", action="store_true",
@@ -1298,11 +1253,6 @@ def main():
     if args.canary:
         return run_canary(root, allowlist, allow_path)
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "text"
-    if backend == "clang":
-        return run_clang_backend(root, allowlist, allow_path)
     status, _ = run(root, allowlist, allow_path)
     return status
 
