@@ -8,6 +8,10 @@
 //              compiles are capped by the number of distinct pairs, no
 //              matter how many connections stampede in.
 //
+// A "compile" is an artifact build (plan + verify). Each connection here
+// only resolves its pair, so no artifact reaches the 64 DCG runs that JIT
+// it (docs/jit.md).
+//
 // Writes BENCH_cache.json.
 //
 //   cache_warmup [--connections N] [--pairs N] [--no-json]
@@ -28,7 +32,7 @@ namespace pbio {
 namespace {
 
 /// Eight structurally distinct wire/native pairs (field mix varies per
-/// pair), big-endian wire so every conversion carries real generated code.
+/// pair), big-endian wire so no conversion is an identity plan.
 std::vector<std::pair<fmt::FormatDesc, fmt::FormatDesc>> make_pairs(
     std::size_t n) {
   using arch::CType;
@@ -98,7 +102,7 @@ RowResult run_pass(
 
 int run(std::size_t connections, std::size_t npairs, bool write_json) {
   bench::print_header("Cache warmup",
-                      "JIT compiles per fleet cold start: private vs shared");
+                      "Artifact builds per fleet cold start: private vs shared");
   const auto pairs = make_pairs(npairs);
 
   std::vector<RowResult> rows;

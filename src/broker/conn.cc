@@ -52,8 +52,7 @@ Conn::~Conn() {
   // to the pool when the SendQueue member destructs).
   sh_.inflight.fetch_sub(sq_.queued_frames(), kRelaxed);
   sh_.queued_bytes.fetch_sub(sq_.queued_bytes(), kRelaxed);
-  sh_.recv_syscalls.fetch_add(ch_.recv_syscalls() - folded_recv_, kRelaxed);
-  sh_.send_syscalls.fetch_add(ch_.send_syscalls() - folded_send_, kRelaxed);
+  fold_syscalls();
 #if PBIO_OBS_ENABLED
   obs::flight_record(obs::FlightKind::kClose,
                      static_cast<std::uint64_t>(ch_.fd()));
@@ -61,10 +60,16 @@ Conn::~Conn() {
 }
 
 void Conn::fold_syscalls() {
+  // Every worker writes these shared counters' cache line: skip the RMW
+  // when a service() pass made no syscall of that kind.
   const std::uint64_t r = ch_.recv_syscalls();
   const std::uint64_t s = ch_.send_syscalls();
-  sh_.recv_syscalls.fetch_add(r - folded_recv_, kRelaxed);
-  sh_.send_syscalls.fetch_add(s - folded_send_, kRelaxed);
+  if (r != folded_recv_) {
+    sh_.recv_syscalls.fetch_add(r - folded_recv_, kRelaxed);
+  }
+  if (s != folded_send_) {
+    sh_.send_syscalls.fetch_add(s - folded_send_, kRelaxed);
+  }
   folded_recv_ = r;
   folded_send_ = s;
 }

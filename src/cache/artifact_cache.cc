@@ -23,7 +23,7 @@ bool key_less(const PairKey& a, const PairKey& b) {
 ArtifactCache::ArtifactCache() = default;
 ArtifactCache::~ArtifactCache() = default;
 
-std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::probe(
+std::shared_ptr<const Artifact> ArtifactCache::probe(
     const Shard& shard, PairKey key) const {
   // Pairs with the release store in publish(): a reader that sees the new
   // map pointer also sees the fully constructed map behind it.
@@ -35,9 +35,8 @@ std::shared_ptr<const vcode::CompiledConvert> ArtifactCache::probe(
   return it->second;
 }
 
-void ArtifactCache::publish(
-    Shard& shard, PairKey key,
-    std::shared_ptr<const vcode::CompiledConvert> artifact) {
+void ArtifactCache::publish(Shard& shard, PairKey key,
+                            std::shared_ptr<const Artifact> artifact) {
   const Map* old = shard.live.load(std::memory_order_relaxed);  // mo: mu held; only publishers (who hold mu) store this pointer
   auto next = std::make_unique<Map>();
   if (old != nullptr) {
@@ -149,15 +148,8 @@ Result<ArtifactCache::Got> ArtifactCache::build(
   }
   plan.verified = true;
 
-  std::shared_ptr<const vcode::CompiledConvert> artifact;
-  {
-    OBS_SPAN("pbio.cache.compile");
-    artifact =
-        std::make_shared<const vcode::CompiledConvert>(std::move(plan));
-  }
+  auto artifact = std::make_shared<const Artifact>(std::move(plan), tally_);
   compiles_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic
-  jit_code_bytes_.fetch_add(artifact->code_size(),
-                            std::memory_order_relaxed);  // mo: independent statistic
   OBS_COUNT("pbio.cache.compiles", 1);
   return Got{std::move(artifact), Source::kCompiled};
 }
@@ -168,7 +160,8 @@ ArtifactCache::Stats ArtifactCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);  // mo: see hits
   s.single_flight_waits = waits_.load(std::memory_order_relaxed);  // mo: see hits
   s.compiles = compiles_.load(std::memory_order_relaxed);  // mo: see hits
-  s.jit_code_bytes = jit_code_bytes_.load(std::memory_order_relaxed);  // mo: see hits
+  s.promotions = tally_->promotions.load(std::memory_order_relaxed);  // mo: see hits
+  s.jit_code_bytes = tally_->jit_code_bytes.load(std::memory_order_relaxed);  // mo: see hits
   return s;
 }
 

@@ -1,5 +1,6 @@
-// Process-wide conversion-artifact cache: verified plans and sealed JIT
-// code buffers, shared across every Context/worker/connection that opts in.
+// Process-wide conversion-artifact cache: verified plans (and the JIT code
+// each seals once it is hot, cache/artifact.h), shared across every
+// Context/worker/connection that opts in.
 //
 // Motivation (ROADMAP item 1): a broker fleet holds thousands of
 // connections that share a handful of (wire, native) format pairs, yet
@@ -15,20 +16,21 @@
 //    snapshot under the shard mutex — one allocation, however many entries
 //    it holds — and publish with a release store. Retired snapshots are
 //    kept until cache destruction (read-mostly: one small retired vector
-//    per compiled pair, i.e. per handful-of-microseconds event);
+//    per built pair, i.e. per handful-of-microseconds event);
 //  * a stampede of cold callers is collapsed by single-flight: the first
-//    caller compiles, everyone else blocks on that flight's condvar and
-//    shares the one sealed buffer — a 10k-connection cold start performs
-//    exactly one compile per distinct pair.
+//    caller builds, everyone else blocks on that flight's condvar and
+//    shares the one artifact — a 10k-connection cold start performs
+//    exactly one build (and at most one promotion) per distinct pair.
 //
-// The cache lives in memory only: a restarted process compiles each
+// The cache lives in memory only: a restarted process builds each
 // distinct pair once.
 //
-// Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles} via obs,
-// mirrored in Stats for mutex-free polling. Every get_or_build() counts
-// exactly one hit or one miss, and every miss is either the compile's
-// leader or a single-flight waiter: misses == compiles + single_flight_waits
-// (failed builds aside).
+// Metrics: pbio.cache.{hits,misses,single_flight_waits,compiles,promotions}
+// via obs, mirrored in Stats for mutex-free polling. A "compile" is an
+// artifact build (plan + verify); a promotion is the later JIT of a hot
+// artifact. Every get_or_build() counts exactly one hit or one miss, and
+// every miss is either the build's leader or a single-flight waiter:
+// misses == compiles + single_flight_waits (failed builds aside).
 // thread-domain: any
 #pragma once
 
@@ -38,10 +40,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/artifact.h"
 #include "fmt/format.h"
 #include "util/error.h"
 #include "util/mutex.h"
-#include "vcode/jit_convert.h"
 
 namespace pbio::cache {
 
@@ -64,8 +66,8 @@ struct PairKeyHash {
 /// (Context) use it to keep their own per-context accounting honest.
 enum class Source : std::uint8_t {
   kCached,    // hit on the snapshot map
-  kWaited,    // another caller was already compiling; shared its result
-  kCompiled,  // this call ran the full plan+verify+JIT+tval pipeline
+  kWaited,    // another caller was already building; shared its result
+  kCompiled,  // this call built the artifact (plan + verify)
 };
 
 // thread-domain: any
@@ -78,7 +80,7 @@ class ArtifactCache {
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
   struct Got {
-    std::shared_ptr<const vcode::CompiledConvert> artifact;
+    std::shared_ptr<const Artifact> artifact;
     Source source = Source::kCached;
   };
 
@@ -95,8 +97,9 @@ class ArtifactCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t single_flight_waits = 0;
-    std::uint64_t compiles = 0;
-    std::uint64_t jit_code_bytes = 0;
+    std::uint64_t compiles = 0;        // artifact builds (plan + verify)
+    std::uint64_t promotions = 0;      // artifacts JIT-compiled when hot
+    std::uint64_t jit_code_bytes = 0;  // generated code, counted at promotion
   };
   Stats stats() const;
 
@@ -107,16 +110,14 @@ class ArtifactCache {
 
  private:
   /// An immutable snapshot: the shard's artifacts sorted by key.
-  using Map = std::vector<
-      std::pair<PairKey, std::shared_ptr<const vcode::CompiledConvert>>>;
+  using Map = std::vector<std::pair<PairKey, std::shared_ptr<const Artifact>>>;
 
   /// One in-progress build, shared by the leader and every waiter.
   struct Flight {
     Mutex mu;
     CondVar cv;
     bool done PBIO_GUARDED_BY(mu) = false;
-    std::shared_ptr<const vcode::CompiledConvert> artifact
-        PBIO_GUARDED_BY(mu);
+    std::shared_ptr<const Artifact> artifact PBIO_GUARDED_BY(mu);
     Status error PBIO_GUARDED_BY(mu);
   };
 
@@ -136,14 +137,13 @@ class ArtifactCache {
     return PairKeyHash{}(key) % kShards;
   }
 
-  std::shared_ptr<const vcode::CompiledConvert> probe(const Shard& shard,
-                                                      PairKey key) const;
+  std::shared_ptr<const Artifact> probe(const Shard& shard, PairKey key) const;
   void publish(Shard& shard, PairKey key,
-               std::shared_ptr<const vcode::CompiledConvert> artifact)
+               std::shared_ptr<const Artifact> artifact)
       PBIO_REQUIRES(shard.mu);
 
-  /// The full build pipeline (leader only, no locks held): plan build +
-  /// static verify, then JIT + tval.
+  /// The build (leader only, no locks held): plan build + static verify.
+  /// The JIT runs later, on the artifact's kPromoteRuns-th run.
   Result<Got> build(const fmt::FormatDesc& wire,
                     const fmt::FormatDesc& native);
 
@@ -153,7 +153,8 @@ class ArtifactCache {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> compiles_{0};
-  std::atomic<std::uint64_t> jit_code_bytes_{0};
+  const std::shared_ptr<PromotionTally> tally_ =
+      std::make_shared<PromotionTally>();
 };
 
 /// The process-wide cache: what a fleet of broker workers / tools shares

@@ -33,9 +33,10 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
                   "Context::conversion: unknown format id");
   }
   // Resolve through the artifact cache, keyed by the canonical structural
-  // hash of the pair. Plan build, static verification, JIT, translation
-  // validation and stampede collapse all live there; this
-  // context only keeps its own accounting straight from the Source tag.
+  // hash of the pair. Plan build, static verification and stampede
+  // collapse live there (the JIT and translation validation run later, in
+  // the artifact, once the pair is hot); this context only keeps its own
+  // accounting straight from the Source tag.
   auto got = cache_->get_or_build(*src.desc, *dst.desc,
                                   {src.canonical, dst.canonical});
   if (!got.is_ok()) {
@@ -54,10 +55,7 @@ Result<std::shared_ptr<const Conversion>> Context::try_conversion(
     case cache::Source::kCompiled:
       shared_cache_misses_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
       conversions_compiled_.fetch_add(1, std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
-      jit_code_bytes_.fetch_add(result.artifact->code_size(),
-                                std::memory_order_relaxed);  // mo: independent statistic, read by stats() only
       OBS_COUNT("pbio.conv.compiled", 1);
-      OBS_COUNT("pbio.conv.jit_code_bytes", result.artifact->code_size());
       break;
   }
   auto conv = std::make_shared<const Conversion>(std::move(result.artifact));
@@ -83,7 +81,6 @@ Context::Stats Context::stats() const {
       conversions_compiled_.load(std::memory_order_relaxed);  // mo: monotonic statistics; cross-counter consistency not promised
   s.conversion_cache_hits =
       conversion_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
-  s.jit_code_bytes = jit_code_bytes_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.shared_cache_hits =
       shared_cache_hits_.load(std::memory_order_relaxed);  // mo: see conversions_compiled
   s.shared_cache_misses =

@@ -1,6 +1,7 @@
 // Fleet-scale conversion-artifact cache: canonical keying, bloom-filter
 // negative cache, single-flight stampede collapse (with consistent
-// hit/miss accounting) and cross-context artifact sharing.
+// hit/miss accounting), cross-context artifact sharing, and the artifact's
+// tiering (interpreter first, JIT on its kPromoteRuns-th DCG run).
 #include "cache/artifact_cache.h"
 
 #include <gtest/gtest.h>
@@ -9,11 +10,13 @@
 #include <vector>
 
 #include "arch/layout.h"
+#include "convert/interp.h"
 #include "fmt/format.h"
 #include "pbio/context.h"
 #include "value/materialize.h"
 #include "value/random.h"
 #include "value/read.h"
+#include "vcode/execmem.h"
 #include "vcode/jit_convert.h"
 
 namespace pbio {
@@ -21,6 +24,7 @@ namespace {
 
 using arch::CType;
 using arch::StructSpec;
+using cache::Artifact;
 using cache::ArtifactCache;
 using cache::PairKey;
 using value::Record;
@@ -77,6 +81,38 @@ void expect_converts(const Context& /*ctx*/, const Conversion& conv,
   ASSERT_TRUE(back.is_ok());
   EXPECT_TRUE(value::equivalent(back.value(), sample_record()))
       << Value(back.value()).to_string();
+}
+
+/// The sample record's wire bytes, and one run of `run` over them.
+const std::vector<std::uint8_t>& sample_wire() {
+  static const std::vector<std::uint8_t> bytes =
+      value::materialize(wire_desc(), sample_record());
+  return bytes;
+}
+
+template <typename Run>
+std::vector<std::uint8_t> convert_sample(Run run) {
+  std::vector<std::uint8_t> out(native_desc().fixed_size, 0);
+  convert::ExecInput in;
+  in.src = sample_wire().data();
+  in.src_size = sample_wire().size();
+  in.dst = out.data();
+  in.dst_size = out.size();
+  EXPECT_TRUE(run(in).is_ok());
+  return out;
+}
+
+std::vector<std::uint8_t> run_sample(const Conversion& conv, Engine engine) {
+  return convert_sample(
+      [&](const convert::ExecInput& in) { return conv.run(in, engine); });
+}
+
+/// A fresh conversion of the sample pair from `ctx`.
+std::shared_ptr<const Conversion> sample_conversion(Context& ctx) {
+  auto r = ctx.try_conversion(ctx.register_format(wire_desc()),
+                              ctx.register_format(native_desc()));
+  EXPECT_TRUE(r.is_ok());
+  return r.is_ok() ? std::move(r).take() : nullptr;
 }
 
 // ---------------------------------------------------------------- keying
@@ -231,6 +267,129 @@ TEST(SharedCache, L1HitDoesNotTouchSharedCache) {
   ASSERT_TRUE(ctx.try_conversion(wire, native).is_ok());
   EXPECT_EQ(ctx.stats().conversion_cache_hits, 1u);
   EXPECT_EQ(ctx.artifact_cache().stats().hits, 0u);  // L1 absorbed it
+}
+
+// -------------------------------------------------------------- tiering
+
+TEST(Tiering, ColdConversionInterpretsBitIdenticallyToRunPlan) {
+  Context ctx;
+  const auto conv = sample_conversion(ctx);
+  ASSERT_NE(conv, nullptr);
+  EXPECT_FALSE(conv->jitted());
+  EXPECT_EQ(conv->artifact()->compiled(), nullptr);
+  const auto reference = convert_sample([&](const convert::ExecInput& in) {
+    return convert::run_plan(conv->plan(), in);
+  });
+  EXPECT_EQ(run_sample(*conv, Engine::kDcg), reference);
+  EXPECT_FALSE(conv->jitted());
+  const ArtifactCache::Stats cs = ctx.artifact_cache().stats();
+  EXPECT_EQ(cs.compiles, 1u);
+  EXPECT_EQ(cs.promotions, 0u);
+  EXPECT_EQ(cs.jit_code_bytes, 0u);
+}
+
+TEST(Tiering, PromotesOnTheKthDcgRunWithIdenticalOutput) {
+  Context ctx;
+  const auto conv = sample_conversion(ctx);
+  ASSERT_NE(conv, nullptr);
+  const auto reference = run_sample(*conv, Engine::kInterpreted);
+  for (std::uint64_t i = 1; i < Artifact::kPromoteRuns; ++i) {
+    ASSERT_EQ(run_sample(*conv, Engine::kDcg), reference) << "run " << i;
+    ASSERT_EQ(conv->artifact()->compiled(), nullptr) << "run " << i;
+  }
+  EXPECT_EQ(ctx.artifact_cache().stats().promotions, 0u);
+
+  EXPECT_EQ(run_sample(*conv, Engine::kDcg), reference);  // run kPromoteRuns
+  const vcode::CompiledConvert* code = conv->artifact()->compiled();
+  ASSERT_NE(code, nullptr);
+  EXPECT_EQ(conv->jitted(), vcode::jit_supported());
+  if (conv->jitted() && vcode::tval_enabled()) {
+    EXPECT_TRUE(code->tval_report().ok) << code->tval_report().to_string();
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(run_sample(*conv, Engine::kDcg), reference);
+  }
+  EXPECT_EQ(conv->artifact()->compiled(), code);
+  const ArtifactCache::Stats cs = ctx.artifact_cache().stats();
+  EXPECT_EQ(cs.promotions, 1u);
+  EXPECT_EQ(cs.jit_code_bytes, code->code_size());
+  EXPECT_EQ(cs.compiles, 1u);  // promotion is not a build
+}
+
+TEST(Tiering, InterpretedRunsNeverPromote) {
+  Context ctx;
+  const auto conv = sample_conversion(ctx);
+  ASSERT_NE(conv, nullptr);
+  for (std::uint64_t i = 0; i < 2 * Artifact::kPromoteRuns; ++i) {
+    run_sample(*conv, Engine::kInterpreted);
+  }
+  EXPECT_EQ(conv->artifact()->compiled(), nullptr);
+  // The kInterpreted runs left the DCG count at zero: one DCG run short of
+  // kPromoteRuns still interprets.
+  for (std::uint64_t i = 1; i < Artifact::kPromoteRuns; ++i) {
+    run_sample(*conv, Engine::kDcg);
+  }
+  EXPECT_EQ(conv->artifact()->compiled(), nullptr);
+  EXPECT_EQ(ctx.artifact_cache().stats().promotions, 0u);
+}
+
+TEST(Tiering, ContextsSharingACachePromoteThePairOnce) {
+  auto shared = std::make_shared<ArtifactCache>();
+  Context a(shared);
+  Context b(shared);
+  const auto ca = sample_conversion(a);
+  const auto cb = sample_conversion(b);
+  ASSERT_NE(ca, nullptr);
+  ASSERT_NE(cb, nullptr);
+  ASSERT_EQ(ca->artifact().get(), cb->artifact().get());
+  const auto reference = run_sample(*ca, Engine::kInterpreted);
+  // The two contexts' runs add up on the one artifact.
+  for (std::uint64_t i = 0; i < Artifact::kPromoteRuns; ++i) {
+    EXPECT_EQ(run_sample(i % 2 == 0 ? *ca : *cb, Engine::kDcg), reference);
+  }
+  EXPECT_EQ(run_sample(*ca, Engine::kDcg), reference);
+  EXPECT_EQ(run_sample(*cb, Engine::kDcg), reference);
+  ASSERT_NE(ca->artifact()->compiled(), nullptr);
+  EXPECT_EQ(ca->artifact()->compiled(), cb->artifact()->compiled());
+  EXPECT_EQ(shared->stats().promotions, 1u);
+  EXPECT_EQ(shared->stats().compiles, 1u);
+}
+
+// The artifact takes no lock: while the promoting caller compiles, the
+// others keep interpreting. Run under tsan in CI (label artifact-cache).
+TEST(Tiering, ConcurrentRunsPromoteExactlyOnce) {
+  Context ctx;
+  const auto conv = sample_conversion(ctx);
+  ASSERT_NE(conv, nullptr);
+  const auto reference = run_sample(*conv, Engine::kInterpreted);
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load()) {
+      }
+      for (std::uint64_t i = 0; i < Artifact::kPromoteRuns; ++i) {
+        if (run_sample(*conv, Engine::kDcg) != reference) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  while (ready.load() != kThreads) {
+  }
+  go.store(true);
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_NE(conv->artifact()->compiled(), nullptr);
+  EXPECT_EQ(ctx.artifact_cache().stats().promotions, 1u);
 }
 
 }  // namespace
