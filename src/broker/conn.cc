@@ -31,7 +31,7 @@ obs::MetricId residency_hist(bool ever_paused) {
 }  // namespace
 
 Conn::Conn(int fd, Shared& sh, BufferPool& pool)
-    : pool_(pool), ch_(fd, pool, sh.cfg.stream_chunk_bytes), sh_(sh) {
+    : pool_(pool), ch_(fd, pool, kStreamChunkBytes), sh_(sh) {
   // Conns are born on their worker thread (add_conn); pin the contract.
   // The dtor deliberately does not assert: stop() tears down from the
   // main thread after the worker loop has exited.
@@ -187,14 +187,14 @@ Status Conn::decode_frame(const FrameBuf& frame) {
   in.mode = convert::VarMode::kPointers;
   in.borrow_from_src = true;
   if (cached_wire_->is_fixed_layout()) {
-    Status st = cached_conv_->run(in, sh_.cfg.engine);
+    Status st = cached_conv_->run(in, kDecodeEngine);
     if (!st.is_ok()) return st;
   } else {
     // Variable-length records may need arena space for non-borrowable
     // strings; scoped per frame so it cannot grow without bound.
     Arena scratch;
     in.arena = &scratch;
-    Status st = cached_conv_->run(in, sh_.cfg.engine);
+    Status st = cached_conv_->run(in, kDecodeEngine);
     if (!st.is_ok()) return st;
   }
 #if PBIO_OBS_ENABLED
@@ -356,7 +356,7 @@ Conn::Verdict Conn::service(std::size_t frame_budget) {
 #if PBIO_OBS_ENABLED
         const std::uint64_t disp_ns =
             obs::ticks_to_ns(obs::ticks() - disp_t0);
-        if (disp_ns > sh_.cfg.slow_frame_ns) {
+        if (disp_ns > kSlowFrameNs) {
           sh_.slow_frames.fetch_add(1, kRelaxed);
           obs::flight_record(obs::FlightKind::kSlowFrame,
                              static_cast<std::uint64_t>(ch_.fd()), disp_ns);

@@ -52,19 +52,12 @@ struct Config {
   std::size_t max_inflight_frames = 65536;  // global queued-response cap
   std::size_t conn_queue_cap_bytes = 256 * 1024;  // pause reading above this
   std::size_t conn_queue_resume_bytes = 64 * 1024;  // resume below this
-  /// Per-connection stream-buffer chunk. Small by design: 10k connections
-  /// each pin one stream block, so the default 64 KiB point-to-point chunk
-  /// would cost 640 MB of mostly-empty buffers (and blow the cache working
-  /// set); 4 KiB still coalesces ~30 small frames per read. Frames larger
-  /// than the chunk grow their window on demand.
-  std::size_t stream_chunk_bytes = 4 * 1024;
   /// Kernel send-buffer size for accepted sockets (0 = OS default). Small
   /// values bound per-connection kernel memory at high fan-in and make the
   /// userspace send-queue caps the operative backpressure layer.
   int so_sndbuf = 0;
   OnData on_data = OnData::kEcho;
-  bool decode = false;            // run wire->native conversion per frame
-  Engine engine = Engine::kDcg;
+  bool decode = false;  // run wire->native conversion (kDecodeEngine)
   std::string stats_file;         // periodic obs::to_json dump (empty: off)
   unsigned stats_interval_ms = 1000;
   /// HTTP scrape endpoint (/metrics, /healthz, /tracez) riding worker 0's
@@ -74,9 +67,6 @@ struct Config {
   /// Arm the fault flight recorder with this post-mortem path (empty:
   /// off). See obs/flight.h for what gets recorded and when it dumps.
   std::string flight_file;
-  /// Dispatch time above which a frame counts as "slow" (flight event +
-  /// pbio.broker.slow_frames). Only measured in PBIO_OBS builds.
-  std::uint64_t slow_frame_ns = 10'000'000;
 };
 
 /// State shared by every connection across all workers. Counters are
@@ -116,8 +106,21 @@ struct Shared {
   std::atomic<std::uint64_t> resumes{0};
   std::atomic<std::uint64_t> recv_syscalls{0};
   std::atomic<std::uint64_t> send_syscalls{0};
-  std::atomic<std::uint64_t> slow_frames{0};  // dispatch over slow_frame_ns
+  std::atomic<std::uint64_t> slow_frames{0};  // dispatch over kSlowFrameNs
 };
+
+/// Engine for Config::decode. A cached conversion interprets a pair's first
+/// records and JIT-compiles on its promoting run (cache::Artifact).
+inline constexpr Engine kDecodeEngine = Engine::kDcg;
+/// Per-connection stream-buffer chunk. Small by design: 10k connections
+/// each pin one stream block, so the default 64 KiB point-to-point chunk
+/// would cost 640 MB of mostly-empty buffers (and blow the cache working
+/// set); 4 KiB still coalesces ~30 small frames per read. Frames larger
+/// than the chunk grow their window on demand.
+inline constexpr std::size_t kStreamChunkBytes = 4 * 1024;
+/// Dispatch time above which a frame counts as "slow" (flight event +
+/// pbio.broker.slow_frames). Only measured in PBIO_OBS builds.
+inline constexpr std::uint64_t kSlowFrameNs = 10'000'000;
 
 /// A Conn lives its whole life on the worker thread its fd hashed to:
 /// constructed there (add_conn), serviced there, destroyed there — except

@@ -107,6 +107,9 @@ TEST(EncodeNative, AppendsToExistingBuffer) {
   char name[] = "x";
   Event rec{0, name, nullptr};
   ByteBuffer out;
+  // Reserve first: GCC 12 misreads the inlined vector::insert into an
+  // empty vector as an overflow (-Wstringop-overflow).
+  out.reserve(64);
   out.append("prefix", 6);
   ASSERT_TRUE(encode_native(f, &rec, out).is_ok());
   EXPECT_EQ(std::memcmp(out.data(), "prefix", 6), 0);

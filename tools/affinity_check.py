@@ -37,15 +37,12 @@ Usage:
 Exits 0 when clean, 1 on findings or stale allowlist entries.
 """
 
-import argparse
-import pathlib
 import re
 import sys
-import tempfile
+
+import lintlib
 
 DEFAULT_ALLOWLIST = "tools/affinity_allow.txt"
-SCAN_SUFFIXES = {".h", ".cc"}
-SKIP_DIR_NAMES = {"CMakeFiles"}
 
 VALID_DOMAINS = {"worker", "any", "signal"}
 
@@ -64,75 +61,6 @@ RE_OK_MARKER = re.compile(r"//\s*affinity:\s*ok\b")
 RE_CLASS_DECL = re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)")
 RE_FN_DECL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 RE_INCLUDE = re.compile(r"^\s*#\s*include\b")
-
-
-class AllowEntry:
-    def __init__(self, path, pattern, reason, lineno):
-        self.path = path
-        self.pattern = pattern
-        self.reason = reason
-        self.lineno = lineno
-        self.used = False
-
-    def matches(self, rel_path, line):
-        return rel_path == self.path and self.pattern in line
-
-
-def load_allowlist(path):
-    entries = []
-    if not path.exists():
-        return entries
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|", 2)]
-        if len(parts) != 3 or not all(parts):
-            print(f"{path}:{lineno}: malformed allowlist entry "
-                  f"(want 'path | line-pattern | reason')", file=sys.stderr)
-            sys.exit(2)
-        entries.append(AllowEntry(parts[0], parts[1], parts[2], lineno))
-    return entries
-
-
-def strip_comments_and_strings(line, in_block_comment):
-    """Blank out comment and string-literal contents so the usage scan only
-    sees code. Returns (code_text, still_in_block_comment)."""
-    out = []
-    i = 0
-    in_string = None
-    while i < len(line):
-        ch = line[i]
-        nxt = line[i + 1] if i + 1 < len(line) else ""
-        if in_block_comment:
-            if ch == "*" and nxt == "/":
-                in_block_comment = False
-                i += 2
-            else:
-                i += 1
-            continue
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == in_string:
-                in_string = None
-            i += 1
-            continue
-        if ch == "/" and nxt == "/":
-            break
-        if ch == "/" and nxt == "*":
-            in_block_comment = True
-            i += 2
-            continue
-        if ch in "\"'":
-            in_string = ch
-            out.append(ch)
-            i += 1
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out), in_block_comment
 
 
 class Symbol:
@@ -155,29 +83,15 @@ def decl_name(code):
     return None
 
 
-def iter_source_files(root):
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SCAN_SUFFIXES:
-            continue
-        if any(part in SKIP_DIR_NAMES for part in path.parts):
-            continue
-        yield path
-
-
 def collect_symbols(root, findings):
     """First pass: harvest thread-domain tags into a symbol table and flag
     malformed domains (A2) and dangling tags."""
     symbols = {}
     worker_files = set()
-    for path in iter_source_files(root):
-        rel = path.relative_to(root).as_posix()
-        in_block = False
+    for rel, path in lintlib.iter_source_files(root):
         pending = None  # (domain, tag_lineno) awaiting its declaration
-        for lineno, raw in enumerate(
-                path.read_text(errors="replace").splitlines(), 1):
+        for lineno, raw, code in lintlib.source_lines(path):
             tag = RE_TAG.search(raw)
-            code, in_block = strip_comments_and_strings(raw, in_block)
             if tag:
                 domain = tag.group(1)
                 if domain not in VALID_DOMAINS:
@@ -219,13 +133,9 @@ def check_confinement(root, symbols, worker_files, allowlist, findings):
         return
     pattern = re.compile(
         r"\b(" + "|".join(re.escape(n) for n in sorted(worker_types)) + r")\b")
-    for path in iter_source_files(root):
-        rel = path.relative_to(root).as_posix()
+    for rel, path in lintlib.iter_source_files(root):
         stem_dir = (path.parent / path.stem).as_posix()
-        in_block = False
-        for lineno, raw in enumerate(
-                path.read_text(errors="replace").splitlines(), 1):
-            code, in_block = strip_comments_and_strings(raw, in_block)
+        for lineno, raw, code in lintlib.source_lines(path):
             if not code.strip() or RE_INCLUDE.match(code):
                 continue
             for m in pattern.finditer(code):
@@ -234,15 +144,8 @@ def check_confinement(root, symbols, worker_files, allowlist, findings):
                 own_stem = (decl_path.parent / decl_path.stem).as_posix()
                 if rel in worker_files or stem_dir == own_stem:
                     continue
-                if RE_OK_MARKER.search(raw):
-                    break
-                excused = False
-                for entry in allowlist:
-                    if entry.matches(rel, raw):
-                        entry.used = True
-                        excused = True
-                        break
-                if excused:
+                if RE_OK_MARKER.search(raw) or \
+                        lintlib.allowlisted(allowlist, rel, raw):
                     break
                 findings.append(
                     (rel, lineno, "worker-confinement",
@@ -259,26 +162,11 @@ def run(root, allowlist, allow_path):
     symbols, worker_files = collect_symbols(root, findings)
     check_required(symbols, findings)
     check_confinement(root, symbols, worker_files, allowlist, findings)
-
-    status = 0
-    if findings:
-        print(f"affinity_check: {len(findings)} finding(s)\n")
-        print("\n".join(f"{rel}:{lineno}: {rule}: {msg}\n    {raw}"
-                        for rel, lineno, rule, msg, raw in findings))
-        status = 1
-    stale = [e for e in allowlist if not e.used]
-    if stale:
-        print("affinity_check: stale allowlist entries "
-              "(nothing matches — delete them):")
-        for e in stale:
-            print(f"  {allow_path}:{e.lineno}: {e.path} | {e.pattern}")
-        status = 1
-    if status == 0:
-        tagged = ", ".join(
-            f"{s.name}={s.domain}" for s in sorted(
-                symbols.values(), key=lambda s: s.name))
-        print(f"affinity_check: clean ({len(symbols)} tagged: {tagged})")
-    return status
+    tagged = ", ".join(
+        f"{s.name}={s.domain}" for s in sorted(
+            symbols.values(), key=lambda s: s.name))
+    return lintlib.report("affinity_check", findings, allowlist, allow_path,
+                          f"clean ({len(symbols)} tagged: {tagged})")
 
 
 # --- self-test -----------------------------------------------------------
@@ -300,6 +188,8 @@ SELF_TEST_CASES = [
      set()),
     ("src/c/comment.cc", "// Widget only in prose here", set()),
     ("src/c/include.cc", '#include "b/widget.h"', set()),
+    # ...or allowlisted.
+    ("src/c/allowed.cc", "Widget borrowed;", set()),
     # A2: unknown domain value.
     ("src/c/badtag.h", "// thread-domain: gpu", {"domain-value"}),
     ("src/c/badtag.h", "class BadTag {};", {"domain-value"}),
@@ -311,69 +201,39 @@ SELF_TEST_CASES = [
 ]
 
 
-def self_test():
+def scan_confinement(root, allowlist):
+    findings = []
+    symbols, worker_files = collect_symbols(root, findings)
+    check_confinement(root, symbols, worker_files, allowlist, findings)
+    return findings
+
+
+def check_symbols(root, _findings):
+    """The symbol table itself must come out right, and required-decl
+    must fire for every symbol an empty table lacks."""
     failures = []
-    with tempfile.TemporaryDirectory(prefix="affinity_selftest_") as tmp:
-        root = pathlib.Path(tmp)
-        for rel, line, _ in SELF_TEST_CASES:
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a") as f:
-                f.write(line + "\n")
-        findings = []
-        symbols, worker_files = collect_symbols(root, findings)
-        check_confinement(root, symbols, worker_files, [], findings)
-        got = {}
-        for rel, _lineno, rule, _msg, _raw in findings:
-            got.setdefault(rel, set()).add(rule)
-        for rel, line, expected in SELF_TEST_CASES:
-            actual = got.get(rel, set())
-            if actual != expected:
-                failures.append(f"  {rel}: expected {sorted(expected)}, "
-                                f"got {sorted(actual)}\n    {line}")
-        # The symbol table itself must have come out right.
-        expect_syms = {"Widget": "worker", "Engine": "worker",
-                       "helper": "any", "dumper": "signal"}
-        for name, domain in expect_syms.items():
-            sym = symbols.get(name)
-            if sym is None or sym.domain != domain:
-                failures.append(f"  symbol {name}: expected domain "
-                                f"{domain}, got "
-                                f"{sym.domain if sym else 'missing'}")
-        # required-decl fires on an empty table.
-        req = []
-        check_required({}, req)
-        if len(req) != len(REQUIRED_DECLS):
-            failures.append("  required-decl did not fire for every "
-                            "missing symbol")
-    if failures:
-        print(f"affinity_check --self-test: {len(failures)} failure(s)")
-        print("\n".join(failures))
-        return 1
-    print(f"affinity_check --self-test: {len(SELF_TEST_CASES)} cases ok")
-    return 0
+    symbols, _ = collect_symbols(root, [])
+    expect_syms = {"Widget": "worker", "Engine": "worker",
+                   "helper": "any", "dumper": "signal"}
+    for name, domain in expect_syms.items():
+        sym = symbols.get(name)
+        if sym is None or sym.domain != domain:
+            failures.append(f"  symbol {name}: expected domain "
+                            f"{domain}, got "
+                            f"{sym.domain if sym else 'missing'}")
+    req = []
+    check_required({}, req)
+    if len(req) != len(REQUIRED_DECLS):
+        failures.append("  required-decl did not fire for every "
+                        "missing symbol")
+    return 0, failures
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default=None,
-                    help="repository root (default: parent of this script)")
-    ap.add_argument("--allowlist", default=None,
-                    help=f"allowlist file (default: {DEFAULT_ALLOWLIST})")
-    ap.add_argument("--self-test", action="store_true",
-                    help="run the checker's own rule tests and exit")
-    args = ap.parse_args()
-
-    if args.self_test:
-        return self_test()
-
-    root = pathlib.Path(args.root).resolve() if args.root else \
-        pathlib.Path(__file__).resolve().parent.parent
-    allow_path = pathlib.Path(args.allowlist) if args.allowlist else \
-        root / DEFAULT_ALLOWLIST
-    allowlist = load_allowlist(allow_path)
-    return run(root, allowlist, allow_path)
+def self_test():
+    return lintlib.run_self_test(
+        "affinity_check", SELF_TEST_CASES, scan_confinement,
+        allow=("src/c/allowed.cc", "Widget borrowed"), extra=check_symbols)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(lintlib.main(__doc__, DEFAULT_ALLOWLIST, run, self_test))

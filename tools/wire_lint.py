@@ -61,18 +61,14 @@ Exits 0 when clean, 1 on findings (or on stale allowlist entries, which
 would otherwise rot into blanket permissions).
 """
 
-import argparse
-import pathlib
 import re
 import sys
-import tempfile
+
+import lintlib
 
 DEFAULT_ALLOWLIST = "tools/wire_lint_allow.txt"
-SCAN_SUFFIXES = {".h", ".cc"}
-SKIP_DIR_NAMES = {"CMakeFiles"}
 
 RE_OK_MARKER = re.compile(r"//\s*wire-lint:\s*ok\b")
-RE_LINE_COMMENT = re.compile(r"//.*$")
 RE_REINTERPRET = re.compile(r"\breinterpret_cast\b")
 RE_C_CAST_DEREF = re.compile(
     r"\*\s*\(\s*(?:const\s+)?(?:std::)?"
@@ -137,77 +133,7 @@ SIGNAL_SAFE_CALLS = {
 }
 
 
-class AllowEntry:
-    def __init__(self, path, pattern, reason, lineno):
-        self.path = path
-        self.pattern = pattern
-        self.reason = reason
-        self.lineno = lineno
-        self.used = False
-
-    def matches(self, rel_path, line):
-        return rel_path == self.path and self.pattern in line
-
-
-def load_allowlist(path):
-    entries = []
-    if not path.exists():
-        return entries
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|", 2)]
-        if len(parts) != 3 or not all(parts):
-            print(f"{path}:{lineno}: malformed allowlist entry "
-                  f"(want 'path | line-pattern | reason')", file=sys.stderr)
-            sys.exit(2)
-        entries.append(AllowEntry(parts[0], parts[1], parts[2], lineno))
-    return entries
-
-
-def strip_comments_and_strings(line, in_block_comment):
-    """Blank out comment and string-literal contents so rule regexes only
-    see code. Returns (code_text, still_in_block_comment)."""
-    out = []
-    i = 0
-    in_string = None
-    while i < len(line):
-        ch = line[i]
-        nxt = line[i + 1] if i + 1 < len(line) else ""
-        if in_block_comment:
-            if ch == "*" and nxt == "/":
-                in_block_comment = False
-                i += 2
-            else:
-                i += 1
-            continue
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == in_string:
-                in_string = None
-            i += 1
-            continue
-        if ch == "/" and nxt == "/":
-            break
-        if ch == "/" and nxt == "*":
-            in_block_comment = True
-            i += 2
-            continue
-        if ch in "\"'":
-            in_string = ch
-            out.append(ch)
-            i += 1
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out), in_block_comment
-
-
-def scan_file(root, path, allowlist, findings):
-    rel = path.relative_to(root).as_posix()
+def scan_file(rel, path, allowlist, findings):
     in_block = False
     in_signal_safe = False
     wt_pending = False   # saw WIRE_TAINTED, waiting for `{` or `;`
@@ -220,7 +146,7 @@ def scan_file(root, path, allowlist, findings):
             in_signal_safe = True
         elif RE_SIGNAL_SAFE_END.search(raw):
             in_signal_safe = False
-        code, in_block = strip_comments_and_strings(raw, in_block)
+        code, in_block = lintlib.strip_comments_and_strings(raw, in_block)
         if not code.strip():
             continue
 
@@ -261,11 +187,8 @@ def scan_file(root, path, allowlist, findings):
         def report(rule, message, allow_allowlist=True, allow_marker=True):
             if allow_marker and RE_OK_MARKER.search(raw):
                 return
-            if allow_allowlist:
-                for entry in allowlist:
-                    if entry.matches(rel, raw):
-                        entry.used = True
-                        return
+            if allow_allowlist and lintlib.allowlisted(allowlist, rel, raw):
+                return
             findings.append((rel, lineno, rule, message, raw.strip()))
 
         if RE_REINTERPRET.search(code):
@@ -475,92 +398,24 @@ SELF_TEST_CASES = [
 ]
 
 
-def self_test():
-    failures = []
-    with tempfile.TemporaryDirectory(prefix="wire_lint_selftest_") as tmp:
-        root = pathlib.Path(tmp)
-        for rel, line, _ in SELF_TEST_CASES:
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Append: two cases may share a path (none do today, but keep
-            # the harness order-independent anyway).
-            with path.open("a") as f:
-                f.write(line + "\n")
-        allowlist = [AllowEntry("src/pbio/r1_allow.cc", "reinterpret_cast",
-                                "self-test entry", 1)]
-        stale_entry = AllowEntry("src/pbio/nonexistent.cc", "nothing",
-                                 "self-test stale entry", 2)
-        findings = []
-        for path in sorted((root / "src").rglob("*")):
-            if path.suffix in SCAN_SUFFIXES:
-                scan_file(root, path, allowlist + [stale_entry], findings)
-        got = {}
-        for rel, _lineno, rule, _msg, _raw in findings:
-            got.setdefault(rel, set()).add(rule)
-        for rel, line, expected in SELF_TEST_CASES:
-            actual = got.get(rel, set())
-            if actual != expected:
-                failures.append(f"  {rel}: expected {sorted(expected)}, "
-                                f"got {sorted(actual)}\n    {line}")
-        if not allowlist[0].used:
-            failures.append("  allowlist entry that matches was not "
-                            "marked used")
-        if stale_entry.used:
-            failures.append("  allowlist entry that matches nothing was "
-                            "marked used")
-    if failures:
-        print(f"wire_lint --self-test: {len(failures)} failure(s)")
-        print("\n".join(failures))
-        return 1
-    print(f"wire_lint --self-test: {len(SELF_TEST_CASES)} cases ok")
-    return 0
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default=None,
-                    help="repository root (default: parent of this script)")
-    ap.add_argument("--allowlist", default=None,
-                    help=f"allowlist file (default: {DEFAULT_ALLOWLIST})")
-    ap.add_argument("--self-test", action="store_true",
-                    help="run the linter's own rule tests and exit")
-    args = ap.parse_args()
-
-    if args.self_test:
-        return self_test()
-
-    root = pathlib.Path(args.root).resolve() if args.root else \
-        pathlib.Path(__file__).resolve().parent.parent
-    allow_path = pathlib.Path(args.allowlist) if args.allowlist else \
-        root / DEFAULT_ALLOWLIST
-    allowlist = load_allowlist(allow_path)
-
+def scan(root, allowlist):
     findings = []
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SCAN_SUFFIXES:
-            continue
-        if any(part in SKIP_DIR_NAMES for part in path.parts):
-            continue
-        scan_file(root, path, allowlist, findings)
+    for rel, path in lintlib.iter_source_files(root):
+        scan_file(rel, path, allowlist, findings)
+    return findings
 
-    status = 0
-    if findings:
-        print(f"wire_lint: {len(findings)} finding(s)\n")
-        print("\n".join(f"{rel}:{lineno}: {rule}: {msg}\n    {raw}"
-                        for rel, lineno, rule, msg, raw in findings))
-        status = 1
-    stale = [e for e in allowlist if not e.used]
-    if stale:
-        print("wire_lint: stale allowlist entries "
-              "(nothing matches — delete them):")
-        for e in stale:
-            print(f"  {allow_path}:{e.lineno}: {e.path} | {e.pattern}")
-        status = 1
-    if status == 0:
-        print("wire_lint: clean")
-    return status
+
+def run(root, allowlist, allow_path):
+    return lintlib.report("wire_lint", scan(root, allowlist), allowlist,
+                          allow_path, "clean")
+
+
+def self_test():
+    return lintlib.run_self_test(
+        "wire_lint", SELF_TEST_CASES, scan,
+        allow=("src/pbio/r1_allow.cc", "reinterpret_cast"))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(lintlib.main(__doc__, DEFAULT_ALLOWLIST, run, self_test,
+                          noun="linter"))

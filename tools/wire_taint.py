@@ -70,16 +70,16 @@ Exits 0 when clean, 1 on findings or stale allowlist entries, 2 on
 usage or malformed-allowlist errors.
 """
 
-import argparse
+import bisect
 import pathlib
 import re
 import shutil
 import sys
 import tempfile
 
+import lintlib
+
 DEFAULT_ALLOWLIST = "tools/wire_taint_allow.txt"
-SCAN_SUFFIXES = {".h", ".cc"}
-SKIP_DIR_NAMES = {"CMakeFiles"}
 
 RE_OK_MARKER = re.compile(r"//\s*wire-taint:\s*ok\b")
 
@@ -135,85 +135,6 @@ RE_ALLOC_SINK = re.compile(
 RE_NEW_ARRAY = re.compile(r"\bnew\s+[\w:<>]+\s*\[")
 RE_SUBSCRIPT = re.compile(r"[\w\)\]]\s*\[")
 RE_COMPARISON = re.compile(r"[<>]=?|[!=]=")
-
-
-class AllowEntry:
-    def __init__(self, path, pattern, reason, lineno):
-        self.path = path
-        self.pattern = pattern
-        self.reason = reason
-        self.lineno = lineno
-        self.used = False
-
-    def matches(self, rel_path, line):
-        return rel_path == self.path and self.pattern in line
-
-
-def load_allowlist(path):
-    entries = []
-    if not path.exists():
-        return entries
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("|", 2)]
-        if len(parts) != 3 or not all(parts):
-            print(f"{path}:{lineno}: malformed allowlist entry "
-                  f"(want 'path | line-pattern | reason')", file=sys.stderr)
-            sys.exit(2)
-        entries.append(AllowEntry(parts[0], parts[1], parts[2], lineno))
-    return entries
-
-
-def strip_comments_and_strings(line, in_block_comment):
-    """Blank out comment and string-literal contents so the extractor only
-    sees code. Returns (code_text, still_in_block_comment)."""
-    out = []
-    i = 0
-    in_string = None
-    while i < len(line):
-        ch = line[i]
-        nxt = line[i + 1] if i + 1 < len(line) else ""
-        if in_block_comment:
-            if ch == "*" and nxt == "/":
-                in_block_comment = False
-                i += 2
-            else:
-                i += 1
-            continue
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == in_string:
-                in_string = None
-            i += 1
-            continue
-        if ch == "/" and nxt == "/":
-            break
-        if ch == "/" and nxt == "*":
-            in_block_comment = True
-            i += 2
-            continue
-        if ch in "\"'":
-            in_string = ch
-            out.append(" ")
-            i += 1
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out), in_block_comment
-
-
-def iter_source_files(root):
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SCAN_SUFFIXES:
-            continue
-        if any(part in SKIP_DIR_NAMES for part in path.parts):
-            continue
-        yield path
 
 
 # --- extraction -----------------------------------------------------------
@@ -322,16 +243,19 @@ RE_CONTAINER = re.compile(
 RE_EXTERN_C = re.compile(r'\bextern\s*$')
 
 
-def match_brace(text, open_idx):
-    """Index just past the '}' matching text[open_idx] == '{'."""
+def match_close(text, open_idx):
+    """Index of the bracket that closes text[open_idx] ('(', '[' or '{'),
+    or len(text) when it is never closed."""
+    open_ch = text[open_idx]
+    close_ch = ")]}"["([{".index(open_ch)]
     depth = 0
     for i in range(open_idx, len(text)):
-        if text[i] == "{":
+        if text[i] == open_ch:
             depth += 1
-        elif text[i] == "}":
+        elif text[i] == close_ch:
             depth -= 1
             if depth == 0:
-                return i + 1
+                return i
     return len(text)
 
 
@@ -378,19 +302,18 @@ def extract_file(rel, text, line_of, findings):
                     seg_start = i + 1
                 elif not has_call or top_assign:
                     # aggregate initializer or anonymous block: opaque.
-                    end = match_brace(text, i)
-                    i = end
+                    i = match_close(text, i) + 1
                     seg_start = i
                     continue
                 else:
                     # Function definition: seg is the signature, the body
                     # runs to the matching brace.
-                    end = match_brace(text, i)
-                    body = text[i + 1:end - 1]
+                    end = match_close(text, i)
+                    body = text[i + 1:end]
                     process_segment(rel, seg, seg_start, line_of,
                                     (body, line_of(i + 1)),
                                     defs, decls, findings)
-                    i = end
+                    i = end + 1
                     seg_start = i
                     continue
         i += 1
@@ -470,15 +393,10 @@ def build_records(root, findings):
         return records[key]
 
     raw_by_rel = {}
-    for path in iter_source_files(root):
-        rel = path.relative_to(root).as_posix()
-        raw_lines = path.read_text(errors="replace").splitlines()
-        raw_by_rel[rel] = raw_lines
-        stripped = []
-        in_block = False
-        for raw in raw_lines:
-            code, in_block = strip_comments_and_strings(raw, in_block)
-            stripped.append(code)
+    for rel, path in lintlib.iter_source_files(root):
+        lines = list(lintlib.source_lines(path))
+        raw_by_rel[rel] = [raw for _, raw, _ in lines]
+        stripped = [code for _, _, code in lines]
         text = "\n".join(stripped)
         # offset -> 1-based line number
         starts = [0]
@@ -486,14 +404,7 @@ def build_records(root, findings):
             starts.append(starts[-1] + len(ln) + 1)
 
         def line_of(off, _starts=starts):
-            lo, hi = 0, len(_starts) - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if _starts[mid] <= off:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo + 1
+            return bisect.bisect_right(_starts, off)
 
         defs, decls = extract_file(rel, text, line_of, findings)
         for (name, lineno, params, tparams, fn_annos, body,
@@ -542,18 +453,8 @@ def strip_trusted_casts(code):
             out.append("__wt_trusted__")
             i = j + len(TRUSTED_CAST)
             continue
-        depth = 0
-        end = len(code)
-        for p in range(k, len(code)):
-            if code[p] == "(":
-                depth += 1
-            elif code[p] == ")":
-                depth -= 1
-                if depth == 0:
-                    end = p + 1
-                    break
         out.append("__wt_trusted__")
-        i = end
+        i = match_close(code, k) + 1
     return "".join(out)
 
 
@@ -563,15 +464,7 @@ def extract_condition(code, kw):
     if not m:
         return None
     start = m.end() - 1
-    depth = 0
-    for p in range(start, len(code)):
-        if code[p] == "(":
-            depth += 1
-        elif code[p] == ")":
-            depth -= 1
-            if depth == 0:
-                return code[start + 1:p]
-    return code[start + 1:]
+    return code[start + 1:match_close(code, start)]
 
 
 class Flow:
@@ -620,12 +513,9 @@ def analyze_function(record, fdef, records_by_name, raw_lines,
     def excused(start_line, end_line):
         for ln in range(start_line, min(end_line, len(raw_lines)) + 1):
             raw = raw_lines[ln - 1] if ln - 1 < len(raw_lines) else ""
-            if RE_OK_MARKER.search(raw):
+            if RE_OK_MARKER.search(raw) or \
+                    lintlib.allowlisted(allowlist, rel, raw):
                 return True
-            for entry in allowlist:
-                if entry.matches(rel, raw):
-                    entry.used = True
-                    return True
         return False
 
     def report(lineno, end_line, rule, msg, code):
@@ -654,15 +544,9 @@ def analyze_function(record, fdef, records_by_name, raw_lines,
                     flow.guarded.add(a)
                     flow.guarded.add(root)
                 start = m.end() - 1
-                depth = 0
-                for p in range(start, len(one)):
-                    if one[p] == "(":
-                        depth += 1
-                    elif one[p] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            flow.guard_expr(one[start + 1:p])
-                            break
+                end = match_close(one, start)
+                if end < len(one):
+                    flow.guard_expr(one[start + 1:end])
 
         # -- guards: compare-then-use inside `if (...)`
         cond = extract_condition(one, "if")
@@ -719,76 +603,41 @@ def analyze_function(record, fdef, records_by_name, raw_lines,
                        "range check", one)
                 break
 
+        def sink(expr, what):
+            """Report the first tainted atom of expr, if any, as a sink."""
+            hot = flow.hot_atoms(expr)
+            if hot:
+                report(start_line, end_line, "unsanitized-sink",
+                       f"{what} tainted '{hot[0][0]}' with no prior "
+                       "range check", one)
+
         # -- sink: memcpy/memmove/memset size argument (3rd)
         for m in RE_MEM_SINK.finditer(one):
             start = m.end() - 1
-            depth = 0
-            end = len(one)
-            for p in range(start, len(one)):
-                if one[p] == "(":
-                    depth += 1
-                elif one[p] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        end = p
-                        break
+            end = match_close(one, start)
             args = split_top_commas(one[start + 1:end])
             if len(args) >= 3:
-                for a, _r in flow.hot_atoms(args[2]):
-                    report(start_line, end_line, "unsanitized-sink",
-                           f"{m.group(1)} size uses tainted '{a}' with "
-                           "no prior range check", one)
-                    break
+                sink(args[2], f"{m.group(1)} size uses")
 
         # -- sink: allocation sizes
         for m in RE_ALLOC_SINK.finditer(one):
             fn = m.group(1) or m.group(2)
             start = m.end() - 1
-            depth = 0
-            end = len(one)
-            for p in range(start, len(one)):
-                if one[p] == "(":
-                    depth += 1
-                elif one[p] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        end = p
-                        break
-            for a, _r in flow.hot_atoms(one[start + 1:end]):
-                report(start_line, end_line, "unsanitized-sink",
-                       f"{fn}() size uses tainted '{a}' with no prior "
-                       "range check", one)
-                break
+            end = match_close(one, start)
+            sink(one[start + 1:end], f"{fn}() size uses")
         for m in RE_NEW_ARRAY.finditer(one):
             start = m.end() - 1
             end = one.find("]", start)
             if end > start:
-                for a, _r in flow.hot_atoms(one[start + 1:end]):
-                    report(start_line, end_line, "unsanitized-sink",
-                           f"new[] count uses tainted '{a}' with no "
-                           "prior range check", one)
-                    break
+                sink(one[start + 1:end], "new[] count uses")
 
         # -- sink: array subscript (new T[...] is the allocation rule's)
         for m in RE_SUBSCRIPT.finditer(one):
             start = m.end() - 1
             if re.search(r"\bnew\s+[\w:<>]*$", one[:start]):
                 continue
-            depth = 0
-            end = len(one)
-            for p in range(start, len(one)):
-                if one[p] == "[":
-                    depth += 1
-                elif one[p] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        end = p
-                        break
-            for a, _r in flow.hot_atoms(one[start + 1:end]):
-                report(start_line, end_line, "unsanitized-sink",
-                       f"subscript uses tainted '{a}' with no prior "
-                       "range check", one)
-                break
+            end = match_close(one, start)
+            sink(one[start + 1:end], "subscript uses")
 
         # -- sink: pointer arithmetic (a `+` chain anchored on a pointer)
         for m in re.finditer(
@@ -798,13 +647,8 @@ def analyze_function(record, fdef, records_by_name, raw_lines,
             is_ptrish = (base_root in ptr_roots
                          or base.endswith("data()")
                          or base.endswith("cursor()"))
-            if not is_ptrish:
-                continue
-            for a, _r in flow.hot_atoms(m.group(2)):
-                report(start_line, end_line, "unsanitized-sink",
-                       f"pointer arithmetic adds tainted '{a}' with no "
-                       "prior range check", one)
-                break
+            if is_ptrish:
+                sink(m.group(2), "pointer arithmetic adds")
 
         # -- gen/kill: assignments, producers, calls
         m = RE_ASSIGN.search(one)
@@ -851,11 +695,11 @@ def check_required(records, required, findings):
                  "point", name))
 
 
-def run(root, allowlist, allow_path, required=None, quiet=False):
+def analyze(root, allowlist, required=REQUIRED_SOURCES):
+    """Run every rule over root; returns (findings, summary of a clean run)."""
     findings = []
     records, raw_by_rel = build_records(root, findings)
-    check_required(records, REQUIRED_SOURCES if required is None
-                   else required, findings)
+    check_required(records, required, findings)
 
     # Name-indexed view for sanitizer/tainted-call resolution: collisions
     # across subdirs are acceptable for *calls* (the names are curated).
@@ -880,28 +724,17 @@ def run(root, allowlist, allow_path, required=None, quiet=False):
                              raw_by_rel.get(fdef.rel, []),
                              allowlist, findings)
 
-    status = 0
-    if findings:
-        if not quiet:
-            print(f"wire_taint: {len(findings)} finding(s)\n")
-            print("\n".join(f"{rel}:{lineno}: {rule}: {msg}\n    {raw}"
-                            for rel, lineno, rule, msg, raw in findings))
-        status = 1
-    stale = [e for e in allowlist if not e.used]
-    if stale:
-        if not quiet:
-            print("wire_taint: stale allowlist entries "
-                  "(nothing matches — delete them):")
-            for e in stale:
-                print(f"  {allow_path}:{e.lineno}: {e.path} | {e.pattern}")
-        status = 1
-    if status == 0 and not quiet:
-        n_src = sum(1 for r in records.values()
-                    if r.fn_tainted or r.tainted_params)
-        n_san = sum(1 for r in records.values() if r.fn_sanitizer)
-        print(f"wire_taint: clean ({n_src} tainted function(s), "
-              f"{n_san} sanitizer(s), {analyzed} bodies analyzed)")
-    return status, findings
+    n_src = sum(1 for r in records.values()
+                if r.fn_tainted or r.tainted_params)
+    n_san = sum(1 for r in records.values() if r.fn_sanitizer)
+    return findings, (f"clean ({n_src} tainted function(s), "
+                      f"{n_san} sanitizer(s), {analyzed} bodies analyzed)")
+
+
+def run(root, allowlist, allow_path):
+    findings, clean = analyze(root, allowlist)
+    return lintlib.report("wire_taint", findings, allowlist, allow_path,
+                          clean)
 
 
 # --- canary ---------------------------------------------------------------
@@ -925,9 +758,10 @@ def run_canary(root, allowlist, allow_path):
     with tempfile.TemporaryDirectory(prefix="wire_taint_canary_") as tmp:
         troot = pathlib.Path(tmp)
         shutil.copytree(root / "src", troot / "src",
-                        ignore=shutil.ignore_patterns(*SKIP_DIR_NAMES))
+                        ignore=shutil.ignore_patterns(
+                            *lintlib.SKIP_DIR_NAMES))
         (troot / CANARY_REL).write_text(CANARY_CODE)
-        _status, findings = run(troot, allowlist, allow_path, quiet=True)
+        findings, _ = analyze(troot, allowlist)
         hits = [f for f in findings
                 if f[0] == CANARY_REL and f[2] == "unsanitized-sink"]
         if hits:
@@ -1174,88 +1008,38 @@ SELF_TEST_REQUIRED = [
 ]
 
 
-def self_test():
+def check_required_and_canary(root, findings):
+    """T1 fired exactly for the one unsatisfied required entry, and the
+    canary fires end-to-end against the synthetic tree too. Counts five
+    cases: these two checks stand for three (T1 covers two required
+    entries) and the harness's two allowlist-bookkeeping checks make up
+    the rest."""
     failures = []
-    with tempfile.TemporaryDirectory(prefix="wire_taint_selftest_") as tmp:
-        root = pathlib.Path(tmp)
-        for rel, content in SELF_TEST_FILES.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content)
-        allowlist = [AllowEntry("src/a/escape.cc", "std::memcpy(dst, src, len);",
-                                "self-test entry", 1)]
-        stale = AllowEntry("src/a/nothing.cc", "never-matches",
-                           "self-test stale entry", 2)
-        _status, findings = run(root, allowlist + [stale], pathlib.Path("-"),
-                                required=SELF_TEST_REQUIRED, quiet=True)
-        got = {}
-        for rel, _lineno, rule, _msg, _raw in findings:
-            got.setdefault(rel, {}).setdefault(rule, 0)
-            got[rel][rule] += 1
-        cases = 0
-        for rel, expect in SELF_TEST_EXPECT.items():
-            cases += max(1, len(expect))
-            actual = {k: v for k, v in got.get(rel, {}).items() if v}
-            expect = {k: v for k, v in expect.items() if v}
-            if actual != expect:
-                failures.append(f"  {rel}: expected {expect}, got {actual}")
-        # T1 fired exactly for the one unsatisfied required entry.
-        cases += 2
-        req = [f for f in findings if f[2] == "required-taint"]
-        if len(req) != 1 or req[0][4] != "missing_fn":
-            failures.append(f"  required-taint: expected exactly "
-                            f"missing_fn, got {[f[4] for f in req]}")
-        # Allowlist bookkeeping.
-        cases += 2
-        if not allowlist[0].used:
-            failures.append("  matching allowlist entry not marked used")
-        if stale.used:
-            failures.append("  stale allowlist entry marked used")
-        # The canary must fire end-to-end against a synthetic tree too.
-        cases += 1
-        (root / CANARY_REL).parent.mkdir(parents=True, exist_ok=True)
-        (root / CANARY_REL).write_text(CANARY_CODE)
-        _s2, f2 = run(root, [], pathlib.Path("-"),
-                      required=SELF_TEST_REQUIRED, quiet=True)
-        if not any(f[0] == CANARY_REL and f[2] == "unsanitized-sink"
-                   for f in f2):
-            failures.append("  canary memcpy not detected")
-    if failures:
-        print(f"wire_taint --self-test: {len(failures)} failure(s)")
-        print("\n".join(failures))
-        return 1
-    print(f"wire_taint --self-test: {cases} cases ok")
-    return 0
+    req = [f for f in findings if f[2] == "required-taint"]
+    if len(req) != 1 or req[0][4] != "missing_fn":
+        failures.append(f"  required-taint: expected exactly "
+                        f"missing_fn, got {[f[4] for f in req]}")
+    (root / CANARY_REL).parent.mkdir(parents=True, exist_ok=True)
+    (root / CANARY_REL).write_text(CANARY_CODE)
+    f2, _ = analyze(root, [], required=SELF_TEST_REQUIRED)
+    if not any(f[0] == CANARY_REL and f[2] == "unsanitized-sink"
+               for f in f2):
+        failures.append("  canary memcpy not detected")
+    return 5, failures
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", default=None,
-                    help="repository root (default: parent of this script)")
-    ap.add_argument("--allowlist", default=None,
-                    help=f"allowlist file (default: {DEFAULT_ALLOWLIST})")
-    ap.add_argument("--self-test", action="store_true",
-                    help="run the checker's own rule tests and exit")
-    ap.add_argument("--canary", action="store_true",
-                    help="inject an unguarded wire-length memcpy into a "
-                    "scratch copy of src/ and verify it is caught")
-    args = ap.parse_args()
-
-    if args.self_test:
-        return self_test()
-
-    root = pathlib.Path(args.root).resolve() if args.root else \
-        pathlib.Path(__file__).resolve().parent.parent
-    allow_path = pathlib.Path(args.allowlist) if args.allowlist else \
-        root / DEFAULT_ALLOWLIST
-    allowlist = load_allowlist(allow_path)
-
-    if args.canary:
-        return run_canary(root, allowlist, allow_path)
-
-    status, _ = run(root, allowlist, allow_path)
-    return status
+def self_test():
+    return lintlib.run_self_test(
+        "wire_taint",
+        [(rel, None, expect) for rel, expect in SELF_TEST_EXPECT.items()],
+        lambda root, allowlist: analyze(root, allowlist,
+                                        required=SELF_TEST_REQUIRED)[0],
+        allow=("src/a/escape.cc", "std::memcpy(dst, src, len);"),
+        files=SELF_TEST_FILES, extra=check_required_and_canary)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(lintlib.main(
+        __doc__, DEFAULT_ALLOWLIST, run, self_test,
+        canary=("inject an unguarded wire-length memcpy into a scratch copy "
+                "of src/ and verify it is caught", run_canary)))
